@@ -27,7 +27,7 @@ file for `space lambda-t` is a space file (the target) plus `map: i j`
 lines sending source point i to target point j.
 
 Exit codes: 0 all checks passed, 1 some reported property failed,
-2 malformed input.
+2 malformed input, 3 an internal inconsistency (a bug in this package).
 """
 
 from __future__ import annotations
@@ -88,7 +88,12 @@ def _fmt_witness(witness) -> str:
     return ",".join(_fmt_element(x) for x in witness)
 
 
-def _parse_set(text: str, line: int) -> int:
+def _parse_set(text: str, line: int, limit: int, what: str) -> int:
+    """Parse {i,j,...} into a bitmask; each member must lie in range(limit).
+
+    The range is checked before the shift, so a huge member is refused
+    instead of building a huge integer.
+    """
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise CliInputError(f"expected a set like {{0,1}}, got {text!r}", line)
@@ -97,9 +102,12 @@ def _parse_set(text: str, line: int) -> int:
     if body:
         for part in body.split(","):
             try:
-                mask |= 1 << int(part.strip())
+                i = int(part.strip())
             except ValueError:
                 raise CliInputError(f"bad set member {part.strip()!r}", line) from None
+            if not 0 <= i < limit:
+                raise CliInputError(f"{what} out of range", line)
+            mask |= 1 << i
     return mask
 
 
@@ -144,9 +152,7 @@ def parse_algebra_file(text: str, close: str | None = None, cap_atoms: int = 8) 
         elif line.startswith("bounded:"):
             if atoms is None:
                 raise CliInputError("bounded: before atoms:", i)
-            bounded_mask = _parse_set(line[len("bounded:"):], i)
-            if bounded_mask >> atoms:
-                raise CliInputError("bounded: atom out of range", i)
+            bounded_mask = _parse_set(line[len("bounded:"):], i, atoms, "bounded: atom")
         else:
             raise CliInputError(f"unrecognized line {line!r}", i)
     if atoms is None:
@@ -198,9 +204,7 @@ def parse_space_file(text: str):
         elif line.startswith("open:"):
             if points is None:
                 raise CliInputError("open: before points:", i)
-            mask = _parse_set(line[len("open:"):], i)
-            if mask >> points:
-                raise CliInputError("open: point out of range", i)
+            mask = _parse_set(line[len("open:"):], i, points, "open: point")
             opens.add(mask)
         elif line.startswith("map:"):
             parts = line[len("map:"):].split()
@@ -296,9 +300,7 @@ def _parse_subset(text: str, L: LocalContactAlgebra) -> tuple[Element, ...]:
         part = part.strip()
         if not part:
             continue
-        mask = _parse_set(part, 0)
-        if mask > alg.full_mask:
-            raise CliInputError(f"subset member {part} out of range")
+        mask = _parse_set(part, 0, alg.atom_count, f"subset member {part}")
         members.add(Element(alg, mask))
     return tuple(sorted(members, key=lambda x: x.mask))
 
@@ -356,9 +358,7 @@ def _cmd_product(args, report: Report):
 
 def _cmd_relative(args, report: Report):
     L = parse_algebra_file(_read(args.algebra), args.close, args.cap_atoms)
-    mask = _parse_set(args.at, 0)
-    if mask > L.algebra.full_mask:
-        raise CliInputError("--at atom out of range")
+    mask = _parse_set(args.at, 0, L.algebra.atom_count, "--at atom")
     if mask == 0:
         raise CliInputError("--at needs a nonempty atom set")
     rel = relative_lca(L, Element(L.algebra, mask))
@@ -629,6 +629,9 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InternalInconsistencyError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     for line in report.lines:
         print(line)
     return 1 if report.failed else 0

@@ -6,32 +6,49 @@ from D: whenever b_i is well inside a_i for each slot and the b's join to
 and the d's meeting to 0. The value is the least such n, with -1 reserved
 for the one-element algebra.
 
-Two engines exist. This module holds the pruned one:
+Relations are stored as atom rows and the element relation is their
+additive extension, so reach(x), the union of the rows of the atoms of
+x, is additive, and y << x iff reach(y) <= x iff y <= I(x), where
+I(x) = {p : row(p) <= x} is the largest element well inside x.
 
-  * outer tuples are enumerated as multisets of (b, a) pairs, sound
-    because the witness conditions never mention b and are symmetric
-    under permuting slots; a branch dies early when the b's chosen so far
-    together with everything still available cannot join to 1;
-  * the witness search picks the d-tuple first (a branch dies when some
-    bit of the running meet is present in every remaining candidate, or
-    when the best possible c-join is already short of 1), then the
-    c-tuple under join pruning;
-  * witness verdicts are memoized per a-multiset.
+When D is the whole algebra every quantifier is taken over atoms:
 
-tests/naive.py re-implements the definition with ordered tuples and no
-pruning; the suite compares the two bit for bit.
+  * a witness for an a-tuple is an assignment of atoms to slots
+    (_atom_witness);
+  * a true verdict is decided over the partitions of the atoms into at
+    most n+2 blocks (_block_reaches), not over (b, a) tuples.
+
+A smaller pool D (dim --subset, lca_query(bounded_witnesses=True)) keeps
+the element-level witness search (_search_witness): it picks the d-tuple
+first, a branch dying when some bit of the running meet is present in
+every remaining candidate or when the best possible c-join is short of
+1, then the c-tuple under join pruning.
+
+A false verdict carries the first counterexample of one ordered sweep
+(_first_counterexample), shared by both cases. It enumerates multisets
+of (b, a) pairs in sorted order, sound because the witness conditions
+never mention b and are symmetric under permuting slots, and at the last
+slot it visits only the pairs whose b covers what the others leave out.
+Witness verdicts are memoized per a-multiset, and dim_leq verdicts per
+n, on the query.
+
+tests/naive.py re-implements the definition: ordered tuples with no
+pruning for verdicts, and the engine's multiset order for the first
+counterexample. The suite compares verdicts and counterexamples.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .boolean import Element
 from .contact import ContactAlgebra
-from .errors import MismatchError, ValidationError
+from .errors import InternalInconsistencyError, MismatchError, ValidationError
 from .lca import LocalContactAlgebra, relative_lca
+from .topology import _or_all
 
 
 @dataclass(frozen=True)
@@ -41,6 +58,7 @@ class DimensionQuery:
     ca: ContactAlgebra
     members: tuple[Element, ...]
     n_cap: int = 3
+    # witness verdicts keyed by sorted a-tuple, DimVerdicts by ("verdict", n)
     _inner_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -95,64 +113,225 @@ class DimVerdict:
 
 def dim_leq(q: DimensionQuery, n: int) -> DimVerdict:
     """Decide "dimension at most n"; on failure carry the first offending
-    (a, b) tuple pair in enumeration order."""
+    (a, b) tuple pair in enumeration order.
+
+    The verdict is memoized on the query, so asking again for the same n
+    costs a lookup.
+    """
     if n < -1:
         raise ValidationError("n must be at least -1")
+    key = ("verdict", n)
+    memo = q._inner_memo
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    verdict = _decide(q, n)
+    memo[key] = verdict
+    return verdict
+
+
+def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     alg = q.ca.algebra
     if n == -1:
         return DimVerdict(alg.size == 1, n)
     k = n + 2
     full = alg.full_mask
     reach = q.ca.contact.closure_table()
-    d_masks = q.masks
-
-    pairs = [(b, a) for b in d_masks for a in d_masks if reach[b] & (full ^ a) == 0]
-    pairs.sort()
-    np = len(pairs)
-    # suffix_b[i] = best possible further b-coverage using pairs[i:]
-    suffix_b = [0] * (np + 1)
-    for i in range(np - 1, -1, -1):
-        suffix_b[i] = suffix_b[i + 1] | pairs[i][0]
-
     memo = q._inner_memo
-    chosen: list[tuple[int, int]] = []
+    whole = len(q.masks) == alg.size
+    if whole:
+        search = _atom_witness(q.ca)
+    else:
+        def search(a_multiset):
+            return _search_witness(q, reach, full, a_multiset)
 
     def witness_exists(a_multiset: tuple[int, ...]) -> bool:
-        key = (n, a_multiset)
         try:
-            return memo[key]
+            return memo[a_multiset]
         except KeyError:
             pass
-        result = _search_witness(q, reach, full, a_multiset)
-        memo[key] = result
+        result = search(a_multiset)
+        memo[a_multiset] = result
         return result
 
+    if whole and all(
+        witness_exists(a) for a in _block_reaches(alg.atom_count, k, reach)
+    ):
+        return DimVerdict(True, n)
+    bad = _first_counterexample(q.masks, reach, full, k, witness_exists)
+    if bad is None:
+        if whole:
+            raise InternalInconsistencyError(
+                f"dim_leq({n}): a block partition has no witness, "
+                "but the pair sweep finds no counterexample"
+            )
+        return DimVerdict(True, n)
+    a_tuple = tuple(Element(alg, a) for _, a in bad)
+    b_tuple = tuple(Element(alg, b) for b, _ in bad)
+    return DimVerdict(False, n, a_tuple, b_tuple)
+
+
+def _block_reaches(atom_count: int, k: int, reach) -> Iterator[tuple[int, ...]]:
+    """Yield (reach(c_1), ..., reach(c_k)), sorted, for every partition c
+    of the atoms into at most k blocks, padded with empty blocks.
+
+    With D the whole algebra these are the only a-tuples dim_leq must
+    test. Each is an outer tuple, paired with the blocks as b's, since
+    c << reach(c). Conversely take b_i << a_i with the b's joining to 1;
+    giving each atom to one slot whose b contains it yields a partition
+    with c_i <= b_i, so reach(c_i) <= reach(b_i) <= a_i. Witness existence
+    is upward-closed in each a_i (d << a <= a' gives d << a'), so a
+    witness for the block tuple is one for (a_1, ..., a_k). The witness
+    conditions are symmetric under permuting slots, so the order of the
+    blocks does not matter.
+    """
+    blocks: list[int] = []
+
+    def place(p: int) -> Iterator[tuple[int, ...]]:
+        if p == atom_count:
+            a = [reach[c] for c in blocks]
+            a += [0] * (k - len(a))
+            a.sort()
+            yield tuple(a)
+            return
+        bit = 1 << p
+        for j in range(len(blocks)):
+            blocks[j] |= bit
+            yield from place(p + 1)
+            blocks[j] ^= bit
+        if len(blocks) < k:
+            blocks.append(bit)
+            yield from place(p + 1)
+            blocks.pop()
+
+    return place(0)
+
+
+def _atom_witness(ca: ContactAlgebra):
+    """The witness test for D the whole algebra, on atoms.
+
+    Witnesses c_i << d_i << a_i with join(c) = 1 and meet(d) = 0 exist iff
+    some map f from atoms to slots has
+
+      * row(p) <= I(a_f(p)) for every atom p, and
+      * an empty meet of R_i = join{row(p) : f(p) = i}, with R_i = 0 for
+        a slot that no atom, or only atoms with empty rows, maps to.
+
+    Given witnesses, send each atom p to a slot whose c contains it; then
+    row(p) <= reach(c_i) <= d_i <= I(a_i), so R_i <= d_i and the R's meet
+    to 0. Given f, take c_i = f^-1(i) and d_i = R_i = reach(c_i): then
+    c_i << d_i, d_i << a_i because every row in R_i lies in I(a_i), the
+    c's join to 1 and the d's meet to 0.
+
+    The search gives up at once if some atom has no allowed slot, and
+    succeeds at once if some slot can be left empty, i.e. no atom is
+    allowed that slot alone. Otherwise every slot holds an atom from the
+    start, the meet only grows as rows are added, and a depth-first search
+    over the remaining atoms stops a branch as soon as the meet is
+    nonzero. An atom whose row already lies in an allowed R_i goes there
+    without branching: that leaves every R as small as possible.
+    """
+    rows = ca.contact.rows
+    full = ca.algebra.full_mask
+    reach = ca.contact.closure_table()
+    # row(p) <= I(a) iff reach(row(p)) <= a
+    row_reach = [reach[r] for r in rows]
+    atoms = range(len(rows))
+
+    def exists(a_multiset: tuple[int, ...]) -> bool:
+        k = len(a_multiset)
+        slot_range = range(k)
+        R = [0] * k
+        free: list[tuple[int, list[int]]] = []
+        alone = 0
+        for p in atoms:
+            rr = row_reach[p]
+            slots = [i for i in slot_range if rr & (full ^ a_multiset[i]) == 0]
+            if not slots:
+                return False
+            if len(slots) == 1:
+                alone |= 1 << slots[0]
+                R[slots[0]] |= rows[p]
+            elif rows[p]:
+                free.append((rows[p], slots))
+        if alone != (1 << k) - 1:
+            return True
+
+        def meet() -> int:
+            m = full
+            for r in R:
+                m &= r
+            return m
+
+        def place(j: int) -> bool:
+            if j == len(free):
+                return True
+            row, slots = free[j]
+            if any(row & ~R[i] == 0 for i in slots):
+                return place(j + 1)
+            for i in slots:
+                old = R[i]
+                R[i] = old | row
+                ok = meet() == 0 and place(j + 1)
+                R[i] = old
+                if ok:
+                    return True
+            return False
+
+        return meet() == 0 and place(0)
+
+    return exists
+
+
+def _first_counterexample(
+    d_masks: tuple[int, ...], reach, full: int, k: int, witness_exists
+) -> tuple[tuple[int, int], ...] | None:
+    """The first multiset of k (b, a) pairs, b << a drawn from D, whose b's
+    join to 1 and whose a's have no witness, or None.
+
+    Multisets are enumerated as non-decreasing index sequences into the
+    sorted pair list. A leaf whose b's do not join to 1 is no outer tuple,
+    so the last slot visits only the pairs whose b covers full ^ b_join:
+    the pairs are grouped by b, and a group is entered only when its b
+    covers. The leaves skipped are exactly those that could not fail, so
+    the first failure found is the same as in the full enumeration.
+    """
+    # d_masks is sorted, so the pairs come out sorted by (b, a)
+    pairs = [(b, a) for b in d_masks for a in d_masks if reach[b] & (full ^ a) == 0]
+    # the runs of equal b in pairs: run g has b = group_bs[g] and spans
+    # pairs[group_first[g]:group_first[g + 1]]
+    group_bs: list[int] = []
+    group_first: list[int] = []
+    for i, (b, _) in enumerate(pairs):
+        if not group_bs or group_bs[-1] != b:
+            group_bs.append(b)
+            group_first.append(i)
+    group_first.append(len(pairs))
+    last = k - 1
+    chosen: list[tuple[int, int]] = []
+
     def outer(slot: int, start: int, b_join: int) -> tuple[tuple[int, int], ...] | None:
-        """Return the first failing multiset of pairs, or None."""
-        if slot == k:
-            if b_join != full:
-                return None
-            a_multiset = tuple(sorted(a for _, a in chosen))
-            if witness_exists(a_multiset):
-                return None
-            return tuple(chosen)
-        for i in range(start, np):
-            b, a = pairs[i]
-            if b_join | suffix_b[i] != full:
-                return None  # later pairs only shrink coverage potential
+        if slot == last:
+            need = full ^ b_join
+            head = [a for _, a in chosen]
+            # a b covering need is at least need as a number
+            for g in range(bisect_left(group_bs, max(pairs[start][0], need)), len(group_bs)):
+                if group_bs[g] & need != need:
+                    continue
+                for i in range(max(group_first[g], start), group_first[g + 1]):
+                    if not witness_exists(tuple(sorted(head + [pairs[i][1]]))):
+                        return tuple(chosen) + (pairs[i],)
+            return None
+        for i in range(start, len(pairs)):
             chosen.append(pairs[i])
-            bad = outer(slot + 1, i, b_join | b)
+            bad = outer(slot + 1, i, b_join | pairs[i][0])
             chosen.pop()
             if bad is not None:
                 return bad
         return None
 
-    bad = outer(0, 0, 0)
-    if bad is None:
-        return DimVerdict(True, n)
-    a_tuple = tuple(Element(alg, a) for _, a in bad)
-    b_tuple = tuple(Element(alg, b) for b, _ in bad)
-    return DimVerdict(False, n, a_tuple, b_tuple)
+    return outer(0, 0, 0)
 
 
 def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, ...]) -> bool:
@@ -228,13 +407,6 @@ def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, 
         return False
 
     return pick_d(0, full, 0)
-
-
-def _or_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Everything here trades speed for obviousness: ordered-tuple enumeration,
 no memoization, no pruning beyond the conditions themselves. The real
-engines are checked against these on small fixtures.
+engines are checked against these on small fixtures. The one exception,
+naive_first_counterexample, memoizes witnesses per a-multiset and states
+the two facts it uses to stay affordable on four atoms.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from contactalg import ContactAlgebra, Element
 
@@ -69,6 +71,70 @@ def naive_dim(ca: ContactAlgebra, members, n_cap: int):
         if naive_dim_leq(ca, members, n):
             return n
     return None
+
+
+def naive_first_counterexample(ca: ContactAlgebra, n: int):
+    """The first violation of "dimension at most n" with D the whole
+    algebra, as (a_masks, b_masks) in the engine's order, or None when the
+    bound holds.
+
+    The engine enumerates multisets of (b, a) pairs with b << a as
+    non-decreasing index tuples into the pairs sorted by mask, which is
+    the order of combinations_with_replacement. Two facts keep this
+    affordable: c << d and c' << d give c | c' << d, so the join of all c
+    way below d is the best c for d, and the join of all b way below a is
+    the best b for a. So the ordered sweep runs only when some a-multiset
+    whose best b's join to 1 has no witness.
+    """
+    alg = ca.algebra
+    if n == -1:
+        return None if alg.size == 1 else ((), ())
+    k = n + 2
+    full = alg.full_mask
+    elements = list(alg.elements())
+    masks = [x.mask for x in elements]
+    wb = {
+        (x.mask, y.mask): naive_way_below(ca, x, y)
+        for x in elements
+        for y in elements
+    }
+    best_below = {y: 0 for y in masks}
+    for x, y in wb:
+        if wb[x, y]:
+            best_below[y] |= x
+    d_cands = {a: [d for d in masks if wb[d, a]] for a in masks}
+    memo = {}
+
+    def witness(a_list) -> bool:
+        key = tuple(sorted(a_list))
+        if key not in memo:
+            memo[key] = False
+            for ds in product(*(d_cands[a] for a in key)):
+                meet, join = full, 0
+                for d in ds:
+                    meet &= d
+                    join |= best_below[d]
+                if meet == 0 and join == full:
+                    memo[key] = True
+                    break
+        return memo[key]
+
+    def covered(a_list) -> bool:
+        join = 0
+        for a in a_list:
+            join |= best_below[a]
+        return join == full
+
+    if all(witness(a) for a in combinations_with_replacement(masks, k) if covered(a)):
+        return None
+    pairs = sorted((b, a) for b in masks for a in masks if wb[b, a])
+    for combo in combinations_with_replacement(pairs, k):
+        join = 0
+        for b, _ in combo:
+            join |= b
+        if join == full and not witness([a for _, a in combo]):
+            return tuple(a for _, a in combo), tuple(b for b, _ in combo)
+    raise AssertionError("an a-multiset without witness had no covering b's")
 
 
 def naive_is_base(L, members) -> bool:

@@ -1,3 +1,5 @@
+import time
+
 from contactalg.cli import main, parse_algebra_file, parse_space_file
 
 C6_TEXT = """\
@@ -231,3 +233,35 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/x.alg")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_huge_set_member_is_refused_before_shifting(tmp_path, capsys):
+    # 1 << 100000000000 would need about 12 GB; the range check comes first
+    huge = "{100000000000}"
+    path = algebra_path(tmp_path)
+    bounded = algebra_path(tmp_path, f"atoms: 2\nbounded: {huge}\n", "b.alg")
+    space = tmp_path / "s.space"
+    space.write_text(f"points: 2\nopen: {huge}\n")
+    start = time.perf_counter()
+    for argv in (
+        ["dim", path, "--subset", huge],
+        ["relative", path, "--at", huge],
+        ["check", bounded],
+        ["space", "rc", str(space)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "out of range" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    from contactalg import dimension
+
+    # a sweep that never finds the counterexample the partition check saw
+    monkeypatch.setattr(dimension, "_first_counterexample", lambda *args: None)
+    code, out, err = run(capsys, "dim", algebra_path(tmp_path), "--close", "rs", "--max-n", "1")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: dim_leq(0)")

@@ -1,13 +1,16 @@
 import warnings
+from itertools import combinations_with_replacement
 
 import pytest
 
 from contactalg import (
     ContactAlgebra,
+    ContactStructure,
     DimensionQuery,
     LocalContactAlgebra,
     MismatchError,
     ValidationError,
+    all_contact_structures,
     check_dimension_invariance,
     check_relative_monotonicity,
     cycle_algebra,
@@ -20,9 +23,10 @@ from contactalg import (
     powerset_algebra,
     query,
 )
+from contactalg import dimension
 
 from conftest import sampled_contact_algebras
-from naive import naive_dim_leq
+from naive import naive_dim_leq, naive_first_counterexample
 
 # the structured sub-universe of the six-cycle: singletons, adjacent
 # pairs, and the four-atom arcs, plus the required bounds
@@ -144,6 +148,7 @@ def test_verdict_reuse_is_consistent(c6):
     first = dim_leq(q, 1)
     second = dim_leq(q, 1)
     assert first.a_tuple == second.a_tuple
+    assert second is first  # memoized per level on the query
 
 
 def test_way_below_density():
@@ -194,3 +199,67 @@ def test_lca_query_pools(c6):
     assert len(plain.masks) == c6.algebra.size
     restricted = lca_query(L, 1, bounded_witnesses=True)
     assert len(restricted.masks) == 8 + 1  # the ideal below {0,1,2} plus 1
+
+
+def verdict_masks(v):
+    return v.holds, tuple(x.mask for x in v.a_tuple), tuple(x.mask for x in v.b_tuple)
+
+
+def oracle_verdict(ca, n):
+    bad = naive_first_counterexample(ca, n)
+    return (True, (), ()) if bad is None else (False, *bad)
+
+
+def every_algebra(atom_counts, reflexive_symmetric):
+    for k in atom_counts:
+        alg = powerset_algebra(k)
+        for s in all_contact_structures(alg, reflexive_symmetric):
+            yield ContactAlgebra(alg, s)
+
+
+def test_verdicts_and_counterexamples_match_oracle_on_every_small_relation():
+    # all 531 atom relations on at most 3 atoms, reflexive or not
+    for ca in every_algebra(range(4), reflexive_symmetric=False):
+        q = query(ca, None, 1)
+        for n in (-1, 0, 1):
+            assert verdict_masks(dim_leq(q, n)) == oracle_verdict(ca, n), (ca.contact.rows, n)
+
+
+def test_verdicts_and_counterexamples_match_oracle_on_four_atom_graphs():
+    for ca in every_algebra([4], reflexive_symmetric=True):
+        q = query(ca, None, 2)
+        for n in (0, 1, 2):
+            assert verdict_masks(dim_leq(q, n)) == oracle_verdict(ca, n), (ca.contact.rows, n)
+
+
+def test_atom_witness_matches_pool_engine():
+    for ca in every_algebra(range(4), reflexive_symmetric=False):
+        alg = ca.algebra
+        q = query(ca)
+        reach = ca.contact.closure_table()
+        on_atoms = dimension._atom_witness(ca)
+        for slots in (2, 3):
+            for a in combinations_with_replacement(range(alg.size), slots):
+                expected = dimension._search_witness(q, reach, alg.full_mask, a)
+                assert on_atoms(a) == expected, (ca.contact.rows, a)
+
+
+def test_atom_witness_when_every_branch_fails():
+    # Each slot is the only one allowed to some atom, and the free atom 0
+    # meets the other slot's rows wherever it goes, so the depth-first
+    # search has to try both slots before it can answer no.
+    alg = powerset_algebra(4)
+    ca = ContactAlgebra(alg, ContactStructure(alg, [0b0101, 0b1001, 0b0100, 0b0110]))
+    a = (0b0111, 0b1101)
+    assert not dimension._search_witness(query(ca), ca.contact.closure_table(), alg.full_mask, a)
+    assert not dimension._atom_witness(ca)(a)
+
+
+def test_pools_keep_the_element_search(c6, monkeypatch):
+    def refuse(ca):
+        raise AssertionError("atom-level witness used for a pool")
+
+    monkeypatch.setattr(dimension, "_atom_witness", refuse)
+    q = arc_query(c6)
+    assert dim_leq(q, 0)
+    assert not dim_leq(q, 1)
