@@ -47,7 +47,7 @@ from .contact import (
 )
 from .dimension import DimensionQuery, dim_a, dim_leq, query
 from .errors import InternalInconsistencyError, ValidationError
-from .lca import LocalContactAlgebra, product_lca, relative_lca
+from .lca import LCA_AXIOM_NAMES, LocalContactAlgebra, check_lca_axiom, product_lca, relative_lca
 from .topology import (
     ContinuousMap,
     FiniteSpace,
@@ -256,41 +256,9 @@ def _cmd_check(args, report: Report):
     for name in AXIOM_NAMES:
         r = check_axiom(L.ca, name)
         report.prop(name, r.ok, f"witness={_fmt_witness(r.witness)}" if not r.ok else "")
-    for name in ("LC1", "LC2", "LC3"):
-        single = _single_lc(L, name)
-        report.prop(name, single.ok, f"witness={_fmt_witness(single.witness)}" if not single.ok else "")
-
-
-def _single_lc(L: LocalContactAlgebra, name: str):
-    """Check one LC axiom in isolation (check_lca_axioms stops at the
-    first failure, but the report should show all three verdicts)."""
-    from .contact import AxiomReport
-    from .lca import _submasks
-
-    alg = L.algebra
-    full = alg.full_mask
-    reach = L.ca.contact.closure_table()
-    bounded = sorted(_submasks(L.bounded_top.mask))
-
-    def ll(x, y):
-        return reach[x] & (full ^ y) == 0
-
-    if name == "LC1":
-        for a in bounded:
-            for c in range(alg.size):
-                if ll(a, c) and not any(ll(a, b) and ll(b, c) for b in bounded):
-                    return AxiomReport(False, name, (Element(alg, a), Element(alg, c)))
-    elif name == "LC2":
-        for a in range(alg.size):
-            ra = reach[a]
-            for b in range(alg.size):
-                if ra & b and not any(ra & (c & b) for c in bounded):
-                    return AxiomReport(False, name, (Element(alg, a), Element(alg, b)))
-    else:
-        for a in range(1, alg.size):
-            if not any(b and ll(b, a) for b in bounded):
-                return AxiomReport(False, name, (Element(alg, a),))
-    return AxiomReport(True, name)
+    for name in LCA_AXIOM_NAMES:
+        r = check_lca_axiom(L, name)
+        report.prop(name, r.ok, f"witness={_fmt_witness(r.witness)}" if not r.ok else "")
 
 
 def _parse_subset(text: str, L: LocalContactAlgebra) -> tuple[Element, ...]:
@@ -616,9 +584,14 @@ _HANDLERS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     report = Report([])
     try:
         _HANDLERS[args.command](args, report)

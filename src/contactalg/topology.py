@@ -503,8 +503,7 @@ def _irredundant_covers(X: FiniteSpace) -> Iterator[tuple[int, ...]]:
     """Covers by distinct nonempty opens from which no member can be
     dropped. Every open cover is refined by one of these, so the
     dimension predicate may quantify over them alone (the suite checks
-    that equivalence against the unrestricted enumerator on tiny
-    spaces).
+    that equivalence against naive_dim_cl on tiny spaces).
 
     Enumeration works point by point: each recursion step covers the
     lowest point still missing, so the depth never exceeds the point
@@ -542,14 +541,6 @@ def _irredundant_covers(X: FiniteSpace) -> Iterator[tuple[int, ...]]:
     yield from extend([], [], 0)
 
 
-def _all_covers(X: FiniteSpace) -> Iterator[tuple[int, ...]]:
-    opens = [u for u in X.open_masks() if u]
-    for r in range(len(opens) + 1):
-        for combo in itertools.combinations(opens, r):
-            if _or_all(combo) == X.full_mask:
-                yield combo
-
-
 def _has_refinement_of_order(X: FiniteSpace, cover: tuple[int, ...], n: int) -> bool:
     """Is there an open cover refining the given one with order <= n?"""
     candidates = sorted(
@@ -578,21 +569,20 @@ def _has_refinement_of_order(X: FiniteSpace, cover: tuple[int, ...], n: int) -> 
     return extend(0)
 
 
-def dim_cl(X: FiniteSpace, n_cap: int = 3, all_covers: bool = False) -> int | None:
+def dim_cl(X: FiniteSpace, n_cap: int = 3) -> int | None:
     """Covering dimension: least n such that every finite open cover has
     an open refinement in which at most n+1 members share a point.
 
     -1 exactly for the empty space; None when every n up to the cap
-    fails. By default the outer quantifier runs over irredundant covers
-    of distinct opens; all_covers switches to the unrestricted
-    enumerator (for the equivalence test only, it is far slower).
+    fails. The outer quantifier runs over the irredundant covers by
+    distinct opens only, which refine every open cover; the suite checks
+    this against a sweep over all open covers in tests/naive.py.
     """
     if X.point_count == 0:
         return -1
-    enumerate_covers = _all_covers if all_covers else _irredundant_covers
     for n in range(0, n_cap + 1):
         if all(
-            _has_refinement_of_order(X, cover, n) for cover in enumerate_covers(X)
+            _has_refinement_of_order(X, cover, n) for cover in _irredundant_covers(X)
         ):
             return n
     return None

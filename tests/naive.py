@@ -7,9 +7,10 @@ naive_first_counterexample, memoizes witnesses per a-multiset and states
 the two facts it uses to stay affordable on four atoms.
 """
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
-from contactalg import ContactAlgebra, Element
+from contactalg import AxiomReport, ContactAlgebra, Element
+from contactalg.topology import _has_refinement_of_order
 
 
 def naive_way_below(ca: ContactAlgebra, x: Element, y: Element) -> bool:
@@ -151,8 +152,6 @@ def naive_is_base(L, members) -> bool:
 
 def naive_min_base(L):
     """Smallest base by plain subset enumeration, smallest sizes first."""
-    from itertools import combinations
-
     bounded = L.bounded_elements()
     for size in range(len(bounded) + 1):
         for subset in combinations(bounded, size):
@@ -164,8 +163,6 @@ def naive_min_base(L):
 def naive_min_dense(algebra):
     """Smallest dense set by subset enumeration. Dense: every nonzero
     element has a nonzero member below it."""
-    from itertools import combinations
-
     nonzero = [x for x in algebra.elements() if not x.is_zero]
     for size in range(len(nonzero) + 1):
         for subset in combinations(nonzero, size):
@@ -177,8 +174,6 @@ def naive_min_dense(algebra):
 def naive_family_order(sets) -> int:
     """Largest m such that some m+1 pairwise distinct members intersect,
     by direct enumeration over subfamilies."""
-    from itertools import combinations
-
     distinct = sorted(set(sets))
     best = -1
     for size in range(1, len(distinct) + 1):
@@ -189,3 +184,171 @@ def naive_family_order(sets) -> int:
             if meet:
                 best = max(best, size - 1)
     return best
+
+
+def naive_check_axiom(s, name: str) -> AxiomReport:
+    """One contact axiom by the element sweep of its definition, over
+    masks in increasing order and nested left to right, on a
+    ContactStructure. The first failing tuple is the witness."""
+    alg = s.algebra
+    size = alg.size
+    full = alg.full_mask
+    reach = s.closure_table()
+
+    def contact(a: int, b: int) -> bool:
+        return reach[a] & b != 0
+
+    def ll(a: int, b: int) -> bool:
+        return reach[a] & (full ^ b) == 0
+
+    def fail(*masks: int) -> AxiomReport:
+        return AxiomReport(False, name, tuple(Element(alg, m) for m in masks))
+
+    if name == "C1":
+        for a in range(size):
+            for b in range(size):
+                if contact(a, b) and (a == 0 or b == 0):
+                    return fail(a, b)
+    elif name == "C2":
+        # a C (b v c) iff a C b or a C c, and the join in the first slot.
+        for a in range(size):
+            for b in range(size):
+                for c in range(size):
+                    if contact(a, b | c) != (contact(a, b) or contact(a, c)):
+                        return fail(a, b, c)
+                    if contact(a | b, c) != (contact(a, c) or contact(b, c)):
+                        return fail(a, b, c)
+    elif name == "C3":
+        for a in range(1, size):
+            if not contact(a, a):
+                return fail(a)
+    elif name == "C4":
+        for a in range(size):
+            for b in range(size):
+                if contact(a, b) != contact(b, a):
+                    return fail(a, b)
+    elif name == "C5":
+        for a in range(size):
+            for b in range(size):
+                if contact(a, b):
+                    continue
+                if not any(
+                    not contact(a, c) and not contact(b, c ^ full)
+                    for c in range(size)
+                ):
+                    return fail(a, b)
+    elif name == "C6":
+        for a in range(size):
+            if a == full:
+                continue
+            if not any(not contact(b, a) for b in range(1, size)):
+                return fail(a)
+    elif name == "LL1":
+        for a in range(size):
+            for b in range(size):
+                if ll(a, b) and a & ~b:
+                    return fail(a, b)
+    elif name == "LL2":
+        if not ll(0, 0):
+            return fail(0, 0)
+    elif name == "LL2'":
+        if not ll(full, full):
+            return fail(full, full)
+    elif name == "LL3":
+        # a <= b << c <= t implies a << t, as two arity-3 sweeps (down in
+        # the left slot, up in the right) reported as 4-tuples.
+        for b in range(size):
+            for c in range(size):
+                if not ll(b, c):
+                    continue
+                for a in range(size):
+                    if a & ~b == 0 and not ll(a, c):
+                        return fail(a, b, c, c)
+                for t in range(size):
+                    if c & ~t == 0 and not ll(b, t):
+                        return fail(b, b, c, t)
+    elif name == "LL4":
+        for a in range(size):
+            for b in range(size):
+                for c in range(size):
+                    if ll(a, c) and ll(b, c) and not ll(a | b, c):
+                        return fail(a, b, c)
+    elif name == "LL4'":
+        for a in range(size):
+            for b in range(size):
+                for c in range(size):
+                    if ll(a, b) and ll(a, c) and not ll(a, b & c):
+                        return fail(a, b, c)
+    elif name == "LL5":
+        for a in range(size):
+            for c in range(size):
+                if ll(a, c) and not any(ll(a, b) and ll(b, c) for b in range(size)):
+                    return fail(a, c)
+    elif name == "LL6":
+        for a in range(1, size):
+            if not any(ll(b, a) for b in range(1, size)):
+                return fail(a)
+    elif name == "LL7":
+        for a in range(size):
+            for b in range(size):
+                if ll(a, b) and not ll(b ^ full, a ^ full):
+                    return fail(a, b)
+    else:
+        raise AssertionError(name)
+    return AxiomReport(True, name)
+
+
+def naive_check_lca_axiom(L, name: str) -> AxiomReport:
+    """One of LC1, LC2, LC3 by the element sweep of its definition, with
+    the bounded elements taken in increasing mask order."""
+    alg = L.algebra
+    size = alg.size
+    full = alg.full_mask
+    reach = L.ca.contact.closure_table()
+    u = L.bounded_top.mask
+    bounded = [m for m in range(size) if m & ~u == 0]
+
+    def ll(x: int, y: int) -> bool:
+        return reach[x] & (full ^ y) == 0
+
+    def fail(*masks: int) -> AxiomReport:
+        return AxiomReport(False, name, tuple(Element(alg, m) for m in masks))
+
+    if name == "LC1":
+        for a in bounded:
+            for c in range(size):
+                if ll(a, c) and not any(ll(a, b) and ll(b, c) for b in bounded):
+                    return fail(a, c)
+    elif name == "LC2":
+        for a in range(size):
+            ra = reach[a]
+            for b in range(size):
+                if ra & b and not any(ra & (c & b) for c in bounded):
+                    return fail(a, b)
+    elif name == "LC3":
+        for a in range(1, size):
+            if not any(b and ll(b, a) for b in bounded):
+                return fail(a)
+    else:
+        raise AssertionError(name)
+    return AxiomReport(True, name)
+
+
+def naive_dim_cl(X, n_cap: int = 3):
+    """Covering dimension with the outer quantifier over every open cover
+    by distinct nonempty opens, not only the irredundant ones."""
+    if X.point_count == 0:
+        return -1
+    opens = [u for u in X.open_masks() if u]
+    covers = []
+    for r in range(len(opens) + 1):
+        for combo in combinations(opens, r):
+            join = 0
+            for u in combo:
+                join |= u
+            if join == X.full_mask:
+                covers.append(combo)
+    for n in range(n_cap + 1):
+        if all(_has_refinement_of_order(X, cover, n) for cover in covers):
+            return n
+    return None

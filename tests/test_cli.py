@@ -1,5 +1,8 @@
 import time
 
+import pytest
+
+from contactalg import AXIOM_NAMES
 from contactalg.cli import main, parse_algebra_file, parse_space_file
 
 C6_TEXT = """\
@@ -68,11 +71,32 @@ def test_atom_cap(tmp_path, capsys):
     big = algebra_path(tmp_path, "atoms: 9\n")
     code, _, err = run(capsys, "check", big)
     assert code == 2 and "cap" in err
-    # The override is exercised with a linear-cost query; a full axiom
-    # sweep over 512 elements would run for minutes.
     code, out, err = run(capsys, "--cap-atoms", "9", "piweight", big)
     assert code == 0
     assert out.splitlines()[0] == "piw_a = 9"
+    code, out, err = run(capsys, "--cap-atoms", "9", "check", big)
+    assert code == 1
+    assert "PROP C3 FAIL witness={0}" in out.splitlines()
+    assert err == ""
+    # beyond 10 atoms the axiom checks refuse the input whatever the cap
+    bigger = algebra_path(tmp_path, "atoms: 11\n", "bigger.alg")
+    code, out, err = run(capsys, "--cap-atoms", "11", "check", bigger)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_main_runs_again_after_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as rejected:
+        main(["check", "--close", "xy", "a.alg"])
+    assert rejected.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice" in out.err
+    code, out, err = run(capsys, "check", algebra_path(tmp_path), "--close", "rs")
+    assert code == 1
+    assert "PROP C5 FAIL witness={0},{2}" in out.splitlines()
+    assert len(out.splitlines()) == len(AXIOM_NAMES) + 3
+    assert err == ""
 
 
 def test_no_implicit_closure(tmp_path):
