@@ -49,6 +49,7 @@ from .dimension import DimensionQuery, dim_a, dim_leq, query
 from .errors import InternalInconsistencyError, ValidationError
 from .lca import LCA_AXIOM_NAMES, LocalContactAlgebra, check_lca_axiom, product_lca, relative_lca
 from .topology import (
+    DEFAULT_MAX_POINTS,
     ContinuousMap,
     FiniteSpace,
     dim_cl,
@@ -201,6 +202,8 @@ def parse_space_file(text: str):
                 raise CliInputError("points: needs an integer", i) from None
             if points < 0:
                 raise CliInputError("point count cannot be negative", i)
+            if points > DEFAULT_MAX_POINTS:
+                raise CliInputError(f"point count {points} exceeds the cap {DEFAULT_MAX_POINTS}", i)
         elif line.startswith("open:"):
             if points is None:
                 raise CliInputError("open: before points:", i)
@@ -249,6 +252,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise CliInputError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliInputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _cmd_check(args, report: Report):

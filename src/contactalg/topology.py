@@ -1,12 +1,16 @@
 """Finite topological spaces as an independent oracle.
 
-Everything here is computed straight from an explicit open-set family:
-closures, regular closed and regular open algebras with their standard
-contact, covering dimension from the cover definition, weight, pi-weight,
-semiregularity, the contravariant regular-closed functor on continuous
-maps, and baby Stone duality. None of it consults the algebraic search
-code, which is the point: the test suite plays the two sides against
-each other.
+A finite topology is a preorder: p <= q when q lies in every open set
+containing p, and the opens are the up-sets (Alexandroff 1937). So
+FiniteSpace keeps the minimal neighbourhood U_p of each point next to
+the open family, and everything else is computed from those n masks:
+closures and interiors, the regular closed and regular open algebras
+with their standard contact, covering dimension from the single cover
+{U_p}, weight, pi-weight, semiregularity, the contravariant
+regular-closed functor on continuous maps, and baby Stone duality. None
+of it consults the algebraic search code, which is the point: the test
+suite plays the two sides against each other, and tests/naive.py keeps
+the definitional sweeps over the open family as oracles.
 
 Subsets of a space are int bitmasks over points, the same convention the
 Boolean algebra layer uses for atoms. FiniteSpace.mask and .points
@@ -34,14 +38,24 @@ class FiniteSpace:
     closed under union and intersection; anything else is rejected. The
     explicit-family representation keeps non-T0 and non-semiregular
     spaces representable.
+
+    neighborhoods[p] is U_p, the intersection of the members containing
+    p. Each member u contains U_p for every p in u, so u is the union of
+    those U_p. A topology holds each U_p and all their unions, so it is
+    closed under u -> u | U_p. Conversely, a family holding the empty
+    set and closed under that step holds each U_p and every union of
+    them, which is every member; any member containing p then contains
+    the member U_p, so an intersection of such unions is again the union
+    of the U_p of its points. Validation costs one lookup per (member,
+    point) instead of one per pair of members.
     """
 
-    __slots__ = ("point_count", "full_mask", "opens")
+    __slots__ = ("point_count", "full_mask", "opens", "neighborhoods")
 
     def __init__(self, point_count: int, opens: Iterable[int], max_points: int = DEFAULT_MAX_POINTS):
         if not 0 <= point_count <= max_points:
             raise ValidationError(
-                f"point count must lie in [0, {max_points}] (cover search is doubly exponential)"
+                f"point count must lie in [0, {max_points}] (open families grow exponentially)"
             )
         self.point_count = point_count
         self.full_mask = (1 << point_count) - 1
@@ -51,11 +65,13 @@ class FiniteSpace:
                 raise ValidationError("open set out of range")
         if 0 not in fam or self.full_mask not in fam:
             raise ValidationError("opens must contain the empty set and the space")
-        for a in fam:
-            for b in fam:
-                if a | b not in fam or a & b not in fam:
+        ups = [_and_all(u for u in fam if u >> p & 1) for p in range(point_count)]
+        for u in fam:
+            for up in ups:
+                if u | up not in fam:
                     raise ValidationError("opens not closed under union/intersection")
         self.opens = fam
+        self.neighborhoods = tuple(ups)
 
     def __repr__(self) -> str:
         return f"FiniteSpace({self.point_count} points, {len(self.opens)} opens)"
@@ -91,29 +107,29 @@ class FiniteSpace:
 
     def minimal_neighborhood(self, point: int) -> int:
         """Smallest open set containing the point."""
-        out = self.full_mask
-        bit = 1 << point
-        for u in self.opens:
-            if u & bit:
-                out &= u
-        return out
+        return self.neighborhoods[point]
 
 
 def interior(X: FiniteSpace, mask: int) -> int:
+    """The points p with U_p inside the set. Each such U_p is open and
+    inside the set, and any open inside the set contains U_q for each of
+    its points q."""
     out = 0
-    for u in X.opens:
-        if u & ~mask == 0:
-            out |= u
+    for p, up in enumerate(X.neighborhoods):
+        if up & ~mask == 0:
+            out |= 1 << p
     return out
 
 
 def closure(X: FiniteSpace, mask: int) -> int:
-    # complement of the union of opens missing the set
-    avoid = 0
-    for u in X.opens:
-        if u & mask == 0:
-            avoid |= u
-    return X.full_mask ^ avoid
+    """The points p with U_p meeting the set: p is outside the closure
+    exactly when some open around p misses the set, and U_p is the
+    smallest open around p."""
+    out = 0
+    for p, up in enumerate(X.neighborhoods):
+        if up & mask:
+            out |= 1 << p
+    return out
 
 
 def discrete_space(n: int) -> FiniteSpace:
@@ -147,10 +163,7 @@ def generate_topology(n: int, subbase: Iterable[int]) -> FiniteSpace:
     meets = {full}
     for s in subbase:
         meets |= {m & s for m in meets}
-    fam = {0}
-    for s in meets:
-        fam |= {f | s for f in fam}
-    return FiniteSpace(n, fam | {0, full})
+    return FiniteSpace(n, _unions(meets))
 
 
 class ContinuousMap:
@@ -182,11 +195,7 @@ class ContinuousMap:
         return self.point_map[point]
 
     def preimage(self, mask: int) -> int:
-        out = 0
-        for p, q in enumerate(self.point_map):
-            if mask >> q & 1:
-                out |= 1 << p
-        return out
+        return _or_all(1 << p for p, q in enumerate(self.point_map) if mask >> q & 1)
 
     def after(self, other: "ContinuousMap") -> "ContinuousMap":
         """self after other (other runs first)."""
@@ -200,15 +209,27 @@ class ContinuousMap:
 # -- the regular closed and regular open algebras --
 
 
+def _regular_families(X: FiniteSpace) -> tuple[list[int], list[int]]:
+    """The regular closed and the regular open sets, each sorted.
+
+    F = cl(int F) makes F the closure of an open set, and the closure of
+    an open u is regular closed (int cl u contains u, so cl int cl u lies
+    between cl u and cl cl u). Likewise the regular open sets are the
+    int(cl(u)) for u open. So one pass over the opens finds both
+    families, instead of testing all 2^n subsets.
+    """
+    rc = set()
+    ro = set()
+    for u in X.opens:
+        c = closure(X, u)
+        rc.add(c)
+        ro.add(interior(X, c))
+    return sorted(rc), sorted(ro)
+
+
 def _atoms_of_family(sets: list[int]) -> list[int]:
     """Minimal nonzero members under inclusion."""
-    out = []
-    for s in sets:
-        if s == 0:
-            continue
-        if not any(t and t != s and t & ~s == 0 for t in sets):
-            out.append(s)
-    return sorted(out)
+    return sorted(s for s in sets if s and not any(t and t != s and t & ~s == 0 for t in sets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +258,7 @@ class RcAlgebra:
     def to_set(self, x: Element) -> int:
         if x.algebra is not self.algebra:
             raise MismatchError("element from a different algebra")
-        out = 0
-        for i in x.atom_indices():
-            out |= self.atom_sets[i]
-        return out
+        return _or_all(self.atom_sets[i] for i in x.atom_indices())
 
     def from_set(self, mask: int) -> Element:
         try:
@@ -255,7 +273,7 @@ class RcAlgebra:
 
 
 def rc_algebra(X: FiniteSpace) -> RcAlgebra:
-    rc_sets = [s for s in range(X.full_mask + 1) if closure(X, interior(X, s)) == s]
+    rc_sets = _regular_families(X)[0]
     atoms = _atoms_of_family(rc_sets)
     k = len(atoms)
     if len(rc_sets) != 1 << k:
@@ -265,15 +283,8 @@ def rc_algebra(X: FiniteSpace) -> RcAlgebra:
     alg = powerset_algebra(k)
     from_set = {}
     for s in rc_sets:
-        below = 0
-        for i, a in enumerate(atoms):
-            if a & ~s == 0:
-                below |= 1 << i
-        joined = 0
-        for i in range(k):
-            if below >> i & 1:
-                joined |= atoms[i]
-        if joined != s:
+        below = _or_all(1 << i for i, a in enumerate(atoms) if a & ~s == 0)
+        if _or_all(a for a in atoms if a & ~s == 0) != s:
             raise InternalInconsistencyError(
                 "a regular closed set is not the union of the atoms below it"
             )
@@ -316,9 +327,7 @@ class RoAlgebra:
     def to_set(self, x: Element) -> int:
         if x.algebra is not self.algebra:
             raise MismatchError("element from a different algebra")
-        union = 0
-        for i in x.atom_indices():
-            union |= self.atom_sets[i]
+        union = _or_all(self.atom_sets[i] for i in x.atom_indices())
         return interior(self.space, closure(self.space, union))
 
     def from_set(self, mask: int) -> Element:
@@ -335,7 +344,7 @@ class RoAlgebra:
 
 def ro_algebra(X: FiniteSpace) -> RoAlgebra:
     rc = rc_algebra(X)
-    ro_sets = [s for s in range(X.full_mask + 1) if interior(X, closure(X, s)) == s]
+    ro_sets = _regular_families(X)[1]
     atoms = _atoms_of_family(ro_sets)
     k = len(atoms)
     if len(ro_sets) != 1 << k:
@@ -345,27 +354,14 @@ def ro_algebra(X: FiniteSpace) -> RoAlgebra:
     alg = powerset_algebra(k)
     from_set = {}
     for s in ro_sets:
-        below = 0
-        for i, a in enumerate(atoms):
-            if a & ~s == 0:
-                below |= 1 << i
-        from_set[s] = Element(alg, below)
-    rows = [
-        _or_all(
-            1 << q
-            for q, b in enumerate(atoms)
-            if closure(X, a) & closure(X, b)
-        )
-        for a in atoms
-    ]
+        from_set[s] = Element(alg, _or_all(1 << i for i, a in enumerate(atoms) if a & ~s == 0))
+    closed = [closure(X, a) for a in atoms]
+    rows = [_or_all(1 << q for q, b in enumerate(closed) if a & b) for a in closed]
     ca = ContactAlgebra(alg, ContactStructure(alg, rows))
 
     mapping = []
     for m in range(alg.size):
-        union = 0
-        for i in range(k):
-            if m >> i & 1:
-                union |= atoms[i]
+        union = _or_all(a for i, a in enumerate(atoms) if m >> i & 1)
         ro_set = interior(X, closure(X, union))
         if ro_set not in from_set or from_set[ro_set].mask != m:
             raise InternalInconsistencyError(
@@ -499,74 +495,37 @@ def _and_all(masks) -> int:
     return out
 
 
-def _irredundant_covers(X: FiniteSpace) -> Iterator[tuple[int, ...]]:
-    """Covers by distinct nonempty opens from which no member can be
-    dropped. Every open cover is refined by one of these, so the
-    dimension predicate may quantify over them alone (the suite checks
-    that equivalence against naive_dim_cl on tiny spaces).
-
-    Enumeration works point by point: each recursion step covers the
-    lowest point still missing, so the depth never exceeds the point
-    count. A member is droppable exactly when it has no point of its
-    own, and private points only shrink as members are added, which
-    makes that a sound prune. One family can be assembled in several
-    orders, hence the seen-set.
-    """
-    full = X.full_mask
-    if full == 0:
-        yield ()
-        return
-    opens = [u for u in X.open_masks() if u]
-    by_point = [[u for u in opens if u >> p & 1] for p in range(X.point_count)]
-    seen: set[frozenset[int]] = set()
-
-    def extend(chosen: list[int], privates: list[int], covered: int):
-        if covered == full:
-            key = frozenset(chosen)
-            if key not in seen:
-                seen.add(key)
-                yield tuple(sorted(chosen))
-            return
-        rest = ~covered & full
-        p = (rest & -rest).bit_length() - 1
-        for u in by_point[p]:
-            shrunk = [pr & ~u for pr in privates]
-            if any(s == 0 for s in shrunk):
-                continue
-            chosen.append(u)
-            shrunk.append(u & ~covered)
-            yield from extend(chosen, shrunk, covered | u)
-            chosen.pop()
-
-    yield from extend([], [], 0)
-
-
 def _has_refinement_of_order(X: FiniteSpace, cover: tuple[int, ...], n: int) -> bool:
-    """Is there an open cover refining the given one with order <= n?"""
+    """Is there an open cover refining the given one with order <= n?
+
+    The search covers the lowest uncovered point at each step, with
+    distinct nonempty opens that lie inside some member of the cover.
+    layers[j] holds the points already in more than j chosen members, so
+    an open is admissible while it misses layers[n], and choosing it
+    raises each of its points one layer.
+    """
     candidates = sorted(
         {u for u in X.opens if u and any(u & ~c == 0 for c in cover)}
     )
-    limit = n + 1
-    counts = [0] * X.point_count
+    full = X.full_mask
 
-    def extend(covered: int) -> bool:
-        if covered == X.full_mask:
+    def extend(covered: int, layers: tuple[int, ...]) -> bool:
+        if covered == full:
             return True
-        p = (~covered & X.full_mask & -(~covered & X.full_mask)).bit_length() - 1
+        rest = full & ~covered
+        low = rest & -rest
+        top = layers[-1]
         for u in candidates:
-            if not u >> p & 1:
+            if not u & low or u & top:
                 continue
-            if any(counts[q] >= limit for q in X.points(u)):
-                continue
-            for q in X.points(u):
-                counts[q] += 1
-            if extend(covered | u):
+            raised = (layers[0] | u,) + tuple(
+                layers[j] | (layers[j - 1] & u) for j in range(1, len(layers))
+            )
+            if extend(covered | u, raised):
                 return True
-            for q in X.points(u):
-                counts[q] -= 1
         return False
 
-    return extend(0)
+    return extend(0, (0,) * (n + 1))
 
 
 def dim_cl(X: FiniteSpace, n_cap: int = 3) -> int | None:
@@ -574,16 +533,18 @@ def dim_cl(X: FiniteSpace, n_cap: int = 3) -> int | None:
     an open refinement in which at most n+1 members share a point.
 
     -1 exactly for the empty space; None when every n up to the cap
-    fails. The outer quantifier runs over the irredundant covers by
-    distinct opens only, which refine every open cover; the suite checks
-    this against a sweep over all open covers in tests/naive.py.
+    fails. The minimal neighbourhoods {U_p} form an open cover that
+    refines every open cover, since U_p lies in any open containing p.
+    So every open cover has a refinement of order <= n exactly when
+    {U_p} has one: a refinement of {U_p} refines every cover as well.
+    The suite checks this against the irredundant-cover quantifier and
+    the sweep over all open covers in tests/naive.py.
     """
     if X.point_count == 0:
         return -1
+    cover = tuple(sorted(set(X.neighborhoods)))
     for n in range(0, n_cap + 1):
-        if all(
-            _has_refinement_of_order(X, cover, n) for cover in _irredundant_covers(X)
-        ):
+        if _has_refinement_of_order(X, cover, n):
             return n
     return None
 
@@ -610,8 +571,7 @@ def regular_shrinking_dim_check(X: FiniteSpace, n: int) -> RegularShrinkingRepor
     if n < -1:
         raise ValidationError("n must be at least -1")
     size = n + 2
-    ro_sets = [s for s in range(X.full_mask + 1) if interior(X, closure(X, s)) == s]
-    rc_sets = [s for s in range(X.full_mask + 1) if closure(X, interior(X, s)) == s]
+    rc_sets, ro_sets = _regular_families(X)
 
     def shrink(cover: tuple[int, ...], need_interior_cover: bool) -> bool:
         per_slot = [[f for f in rc_sets if f & ~u == 0] for u in cover]
@@ -664,7 +624,7 @@ def weight_of_space(X: FiniteSpace) -> int:
     the forced set is the minimum. The suite checks this against a blind
     subset search on small spaces.
     """
-    forced = {X.minimal_neighborhood(p) for p in range(X.point_count)}
+    forced = set(X.neighborhoods)
     for u in X.opens:
         gen = _or_all(b for b in forced if b & ~u == 0)
         if gen != u:
@@ -676,12 +636,15 @@ def weight_of_space(X: FiniteSpace) -> int:
 
 def pi_weight_of_space(X: FiniteSpace) -> int:
     """Least size of a pi-base (nonempty opens hitting below every
-    nonempty open); the minimal nonzero opens are forced and suffice."""
-    minimal = [
-        u
-        for u in X.opens
-        if u and not any(v and v != u and v & ~u == 0 for v in X.opens)
-    ]
+    nonempty open); the minimal nonzero opens are forced and suffice.
+
+    A minimal nonzero open u contains some U_p, so u = U_p; and a U_p
+    minimal among the U_q is minimal among all nonzero opens, since any
+    nonzero open v inside it contains some U_q. So the minimal nonzero
+    opens are the minimal members of {U_p}.
+    """
+    ups = set(X.neighborhoods)
+    minimal = [u for u in ups if not any(v != u and v & ~u == 0 for v in ups)]
     for u in X.opens:
         if u and not any(v & ~u == 0 for v in minimal):
             raise InternalInconsistencyError(
@@ -691,20 +654,26 @@ def pi_weight_of_space(X: FiniteSpace) -> int:
 
 
 def is_semiregular(X: FiniteSpace) -> bool:
-    """Do the regular open sets form a base?"""
-    ro_sets = [s for s in X.opens if interior(X, closure(X, s)) == s]
-    return all(
-        _or_all(b for b in ro_sets if b & ~u == 0) == u for u in X.opens
-    )
+    """Do the regular open sets form a base?
+
+    They do exactly when every U_p is regular open: a base has a member
+    containing p inside U_p, which must be U_p itself, and the U_p form
+    a base.
+    """
+    return all(interior(X, closure(X, u)) == u for u in X.neighborhoods)
 
 
 def is_pi_semiregular(X: FiniteSpace) -> bool:
     """Do the regular open sets form a pi-base? When they do, the
     pi-weight of the space must agree with the pi-weight of its regular
-    closed algebra, and that equality is asserted here."""
-    ro_sets = [s for s in range(X.full_mask + 1) if interior(X, closure(X, s)) == s]
+    closed algebra, and that equality is asserted here.
+
+    Every nonempty open contains some U_p, so it is enough that each U_p
+    contains a nonempty regular open set.
+    """
+    ro_sets = _regular_families(X)[1]
     result = all(
-        any(v and v & ~u == 0 for v in ro_sets) for u in X.opens if u
+        any(v and v & ~u == 0 for v in ro_sets) for u in set(X.neighborhoods)
     )
     if result:
         from .weight import pi_weight
@@ -782,16 +751,41 @@ def is_connected_space(X: FiniteSpace) -> bool:
 
 
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
-    """All topologies on n labeled points, by filtering candidate
-    families; n is capped at 4 (the candidate count is 2^(2^n - 2))."""
-    if not 0 <= n <= 4:
-        raise ValidationError("topology enumeration is capped at 4 points")
-    full = (1 << n) - 1
-    inner = [m for m in range(full + 1) if m not in (0, full)]
-    for bits in range(1 << len(inner)):
-        fam = {0, full}
-        for i, m in enumerate(inner):
-            if bits >> i & 1:
-                fam.add(m)
-        if all(a | b in fam and a & b in fam for a in fam for b in fam):
-            yield FiniteSpace(n, fam)
+    """All topologies on n labelled points, one per preorder; n is capped
+    at DEFAULT_MAX_POINTS.
+
+    A finite topology is its specialisation preorder, with the opens as
+    the up-sets. Preorders on m + 1 points extend those on m: the new
+    point gets an up-set U (the points above it) and a down-set D (the
+    complement of an up-set) of the old order, with U above every point
+    of D, and each point of D gains the new point above it (U is there
+    already). Each preorder arises once, from its restriction to the
+    first m points. The opens are then the unions of the up-sets.
+    """
+    if not 0 <= n <= DEFAULT_MAX_POINTS:
+        raise ValidationError(f"topology enumeration is capped at {DEFAULT_MAX_POINTS} points")
+    orders: list[tuple[int, ...]] = [()]  # ups[p] = the points q with p <= q
+    for m in range(n):
+        bit = 1 << m
+        grown = []
+        for ups in orders:
+            opens = _unions(ups)
+            for down in (u ^ (bit - 1) for u in opens):
+                below = _and_all(ups[p] for p in range(m) if down >> p & 1)
+                for up in opens:
+                    if up & ~below:
+                        continue
+                    grown.append(tuple(
+                        u | bit if down >> p & 1 else u for p, u in enumerate(ups)
+                    ) + (up | bit,))
+        orders = grown
+    for ups in orders:
+        yield FiniteSpace(n, _unions(ups))
+
+
+def _unions(masks) -> set[int]:
+    """Every union of the given masks, the empty one included."""
+    out = {0}
+    for m in masks:
+        out |= {f | m for f in out}
+    return out

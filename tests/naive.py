@@ -10,7 +10,6 @@ the two facts it uses to stay affordable on four atoms.
 from itertools import combinations, combinations_with_replacement, product
 
 from contactalg import AxiomReport, ContactAlgebra, Element
-from contactalg.topology import _has_refinement_of_order
 
 
 def naive_way_below(ca: ContactAlgebra, x: Element, y: Element) -> bool:
@@ -334,6 +333,35 @@ def naive_check_lca_axiom(L, name: str) -> AxiomReport:
     return AxiomReport(True, name)
 
 
+def _has_refinement_of_order(X, cover, n: int) -> bool:
+    """Is there an open cover refining the given one with order <= n?
+    Point-by-point search with a count per point."""
+    candidates = sorted(
+        {u for u in X.opens if u and any(u & ~c == 0 for c in cover)}
+    )
+    limit = n + 1
+    counts = [0] * X.point_count
+
+    def extend(covered: int) -> bool:
+        if covered == X.full_mask:
+            return True
+        p = (~covered & X.full_mask & -(~covered & X.full_mask)).bit_length() - 1
+        for u in candidates:
+            if not u >> p & 1:
+                continue
+            if any(counts[q] >= limit for q in X.points(u)):
+                continue
+            for q in X.points(u):
+                counts[q] += 1
+            if extend(covered | u):
+                return True
+            for q in X.points(u):
+                counts[q] -= 1
+        return False
+
+    return extend(0)
+
+
 def naive_dim_cl(X, n_cap: int = 3):
     """Covering dimension with the outer quantifier over every open cover
     by distinct nonempty opens, not only the irredundant ones."""
@@ -350,5 +378,137 @@ def naive_dim_cl(X, n_cap: int = 3):
                 covers.append(combo)
     for n in range(n_cap + 1):
         if all(_has_refinement_of_order(X, cover, n) for cover in covers):
+            return n
+    return None
+
+
+def naive_interior(X, mask: int) -> int:
+    """Union of the opens inside the set."""
+    out = 0
+    for u in X.opens:
+        if u & ~mask == 0:
+            out |= u
+    return out
+
+
+def naive_closure(X, mask: int) -> int:
+    """Complement of the union of the opens missing the set."""
+    avoid = 0
+    for u in X.opens:
+        if u & mask == 0:
+            avoid |= u
+    return X.full_mask ^ avoid
+
+
+def naive_regular_closed(X) -> list[int]:
+    """Every subset F with cl(int F) = F, in increasing order."""
+    return [
+        s
+        for s in range(X.full_mask + 1)
+        if naive_closure(X, naive_interior(X, s)) == s
+    ]
+
+
+def naive_regular_open(X) -> list[int]:
+    """Every subset V with int(cl V) = V, in increasing order."""
+    return [
+        s
+        for s in range(X.full_mask + 1)
+        if naive_interior(X, naive_closure(X, s)) == s
+    ]
+
+
+def naive_is_semiregular(X) -> bool:
+    """Every open is the union of the regular open sets inside it."""
+    ro = naive_regular_open(X)
+    for u in X.opens:
+        join = 0
+        for v in ro:
+            if v & ~u == 0:
+                join |= v
+        if join != u:
+            return False
+    return True
+
+
+def naive_is_pi_semiregular(X) -> bool:
+    """Every nonempty open contains a nonempty regular open set."""
+    ro = naive_regular_open(X)
+    return all(any(v and v & ~u == 0 for v in ro) for u in X.opens if u)
+
+
+def naive_pi_weight_of_space(X) -> int:
+    """Number of minimal nonempty opens."""
+    return sum(
+        1
+        for u in X.opens
+        if u and not any(v and v != u and v & ~u == 0 for v in X.opens)
+    )
+
+
+def naive_topology_families(n: int) -> set[frozenset[int]]:
+    """Every topology on n labelled points, by filtering all 2^(2^n - 2)
+    families that hold the empty set and the space for closure under
+    union and intersection."""
+    full = (1 << n) - 1
+    inner = [m for m in range(full + 1) if m not in (0, full)]
+    out = set()
+    for bits in range(1 << len(inner)):
+        fam = {0, full}
+        for i, m in enumerate(inner):
+            if bits >> i & 1:
+                fam.add(m)
+        if all(a | b in fam and a & b in fam for a in fam for b in fam):
+            out.add(frozenset(fam))
+    return out
+
+
+def _irredundant_covers(X):
+    """Covers by distinct nonempty opens from which no member can be
+    dropped. Every open cover is refined by one of these.
+
+    Enumeration works point by point: each recursion step covers the
+    lowest point still missing, so the depth never exceeds the point
+    count. A member is droppable exactly when it has no point of its
+    own, and private points only shrink as members are added, which
+    makes that a sound prune. One family can be assembled in several
+    orders, hence the seen-set.
+    """
+    full = X.full_mask
+    if full == 0:
+        yield ()
+        return
+    opens = [u for u in X.open_masks() if u]
+    by_point = [[u for u in opens if u >> p & 1] for p in range(X.point_count)]
+    seen = set()
+
+    def extend(chosen, privates, covered):
+        if covered == full:
+            key = frozenset(chosen)
+            if key not in seen:
+                seen.add(key)
+                yield tuple(sorted(chosen))
+            return
+        rest = ~covered & full
+        p = (rest & -rest).bit_length() - 1
+        for u in by_point[p]:
+            shrunk = [pr & ~u for pr in privates]
+            if any(s == 0 for s in shrunk):
+                continue
+            chosen.append(u)
+            shrunk.append(u & ~covered)
+            yield from extend(chosen, shrunk, covered | u)
+            chosen.pop()
+
+    yield from extend([], [], 0)
+
+
+def naive_irredundant_dim_cl(X, n_cap: int = 3):
+    """Covering dimension with the outer quantifier over the irredundant
+    open covers."""
+    if X.point_count == 0:
+        return -1
+    for n in range(n_cap + 1):
+        if all(_has_refinement_of_order(X, cover, n) for cover in _irredundant_covers(X)):
             return n
     return None

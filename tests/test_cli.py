@@ -280,6 +280,31 @@ def test_huge_set_member_is_refused_before_shifting(tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_oversized_points_header_is_refused_before_shifting(tmp_path, capsys):
+    # 1 << 100000000000 would need about 12.5 GB; the cap comes first
+    space = tmp_path / "big.space"
+    space.write_text("points: 100000000000\n")
+    start = time.perf_counter()
+    for argv in (["space", "weight", str(space)], ["crosscheck", str(space)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: line 1: point count 100000000000 exceeds the cap 5\n"
+    assert time.perf_counter() - start < 5
+    space.write_text("points: 6\n")
+    code, _, err = run(capsys, "space", "rc", str(space))
+    assert code == 2 and "exceeds the cap 5" in err
+
+
+def test_non_utf8_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"atoms: 2\n\xff\xfe\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read") and "not UTF-8 text" in err
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     from contactalg import dimension
 

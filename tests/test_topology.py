@@ -344,12 +344,14 @@ def test_connectedness_matches_algebra():
 
 
 def test_enumerate_topologies_counts():
-    assert [sum(1 for _ in enumerate_topologies(n)) for n in range(5)] == [
+    # OEIS A000798, labelled topologies
+    assert [sum(1 for _ in enumerate_topologies(n)) for n in range(6)] == [
         1,
         1,
         4,
         29,
         355,
+        6942,
     ]
     with pytest.raises(ValidationError):
-        next(enumerate_topologies(5))
+        next(enumerate_topologies(6))

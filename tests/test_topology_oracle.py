@@ -1,0 +1,106 @@
+"""The minimal-neighbourhood topology engine against the definitional
+sweeps over the open family in tests/naive.py.
+
+Spaces come from the filtering enumerator where it is affordable (at
+most four points) and from enumerate_topologies on five points, which
+the first test ties to the filter.
+"""
+
+from functools import cache
+
+import pytest
+
+from contactalg import (
+    FiniteSpace,
+    ValidationError,
+    closure,
+    dim_cl,
+    enumerate_topologies,
+    interior,
+    is_pi_semiregular,
+    is_semiregular,
+    pi_weight_of_space,
+    rc_algebra,
+    ro_algebra,
+    weight_of_space,
+)
+from contactalg.topology import _regular_families
+
+from naive import (
+    naive_closure,
+    naive_interior,
+    naive_irredundant_dim_cl,
+    naive_is_pi_semiregular,
+    naive_is_semiregular,
+    naive_pi_weight_of_space,
+    naive_regular_closed,
+    naive_regular_open,
+    naive_topology_families,
+)
+
+families = cache(naive_topology_families)
+
+
+def spaces(max_points):
+    for n in range(max_points + 1):
+        for fam in sorted(families(n), key=sorted):
+            yield FiniteSpace(n, fam)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_enumeration_and_validation_match_the_filter(n):
+    found = [frozenset(X.opens) for X in enumerate_topologies(n)]
+    assert len(found) == len(set(found))
+    assert set(found) == families(n)
+    # FiniteSpace accepts exactly the families the filter keeps
+    full = (1 << n) - 1
+    inner = range(1, full)
+    accepted = set()
+    for bits in range(1 << len(inner)):
+        fam = {0, full} | {m for i, m in enumerate(inner) if bits >> i & 1}
+        try:
+            FiniteSpace(n, fam)
+        except ValidationError:
+            continue
+        accepted.add(frozenset(fam))
+    assert accepted == families(n)
+
+
+def test_closure_and_interior_match_the_opens_sweep():
+    for X in spaces(4):
+        for s in range(X.full_mask + 1):
+            assert closure(X, s) == naive_closure(X, s)
+            assert interior(X, s) == naive_interior(X, s)
+
+
+def test_regular_families_match_the_subset_sweep():
+    for X in spaces(4):
+        rc, ro = naive_regular_closed(X), naive_regular_open(X)
+        assert _regular_families(X) == (rc, ro)
+        assert rc_algebra(X).regular_closed_sets() == rc
+        assert ro_algebra(X).regular_open_sets() == ro
+
+
+def test_space_invariants_match_the_opens_sweep():
+    for X in spaces(4):
+        assert is_semiregular(X) == naive_is_semiregular(X)
+        assert is_pi_semiregular(X) == naive_is_pi_semiregular(X)
+        assert pi_weight_of_space(X) == naive_pi_weight_of_space(X)
+        ups = []
+        for p in range(X.point_count):
+            up = X.full_mask
+            for u in X.opens:
+                if u >> p & 1:
+                    up &= u
+            ups.append(up)
+        assert X.neighborhoods == tuple(ups)
+        assert weight_of_space(X) == len(set(ups))
+
+
+def test_dim_cl_matches_the_irredundant_covers():
+    count = 0
+    for n in range(6):
+        for X in enumerate_topologies(n):
+            assert dim_cl(X, n_cap=4) == naive_irredundant_dim_cl(X, n_cap=4)
+            count += 1
+    assert count == 7332
