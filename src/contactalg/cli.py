@@ -52,6 +52,7 @@ from .topology import (
     DEFAULT_MAX_POINTS,
     ContinuousMap,
     FiniteSpace,
+    clopen_sets,
     dim_cl,
     is_connected_space,
     is_pi_semiregular,
@@ -416,6 +417,8 @@ def _cmd_search(args, report: Report):
     if args.atoms < 1 or args.atoms > 5:
         raise CliInputError("search supports --atoms 1..5")
     rs = args.contact_class == "reflexive-symmetric"
+    if not rs and args.atoms > 4:
+        raise CliInputError("search --contact-class all supports --atoms 1..4")
     for k in range(1, args.atoms + 1):
         alg = powerset_algebra(k)
         seen: set[str] = set()
@@ -474,9 +477,7 @@ def _cmd_crosscheck(args, report: Report):
     guarded("ro_isomorphic_rc", ro_iso)
 
     def connect():
-        return (is_connected_space(space) == (len([
-            u for u in space.opens if (space.full_mask ^ u) in space.opens
-        ]) <= 2)), ""
+        return is_connected_space(space) == (len(clopen_sets(space)) <= 2), ""
 
     guarded("connectedness_agreement", connect)
 
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=3)
 
     p = sub.add_parser("search", help="enumerate small atom relations and tabulate invariants")
-    p.add_argument("--atoms", type=int, required=True, help="enumerate 1..k atoms (k at most 5)")
+    p.add_argument("--atoms", type=int, required=True, help="enumerate 1..k atoms (k at most 5, or 4 with --contact-class all)")
     p.add_argument(
         "--contact-class",
         choices=["reflexive-symmetric", "all"],

@@ -5,12 +5,13 @@ containing p, and the opens are the up-sets (Alexandroff 1937). So
 FiniteSpace keeps the minimal neighbourhood U_p of each point next to
 the open family, and everything else is computed from those n masks:
 closures and interiors, the regular closed and regular open algebras
-with their standard contact, covering dimension from the single cover
-{U_p}, weight, pi-weight, semiregularity, the contravariant
-regular-closed functor on continuous maps, and baby Stone duality. None
-of it consults the algebraic search code, which is the point: the test
-suite plays the two sides against each other, and tests/naive.py keeps
-the definitional sweeps over the open family as oracles.
+from the minimal U_p (built once per space and kept on it), covering
+dimension from the single cover {U_p}, weight, pi-weight,
+semiregularity, the contravariant regular-closed functor on continuous
+maps, and baby Stone duality. None of it consults the algebraic search
+code, which is the point: the test suite plays the two sides against
+each other, and tests/naive.py keeps the definitional sweeps over the
+open family as oracles.
 
 Subsets of a space are int bitmasks over points, the same convention the
 Boolean algebra layer uses for atoms. FiniteSpace.mask and .points
@@ -50,7 +51,7 @@ class FiniteSpace:
     point) instead of one per pair of members.
     """
 
-    __slots__ = ("point_count", "full_mask", "opens", "neighborhoods")
+    __slots__ = ("point_count", "full_mask", "opens", "neighborhoods", "_rc")
 
     def __init__(self, point_count: int, opens: Iterable[int], max_points: int = DEFAULT_MAX_POINTS):
         if not 0 <= point_count <= max_points:
@@ -72,6 +73,7 @@ class FiniteSpace:
                     raise ValidationError("opens not closed under union/intersection")
         self.opens = fam
         self.neighborhoods = tuple(ups)
+        self._rc = None  # the RcAlgebra, once rc_algebra has built it
 
     def __repr__(self) -> str:
         return f"FiniteSpace({self.point_count} points, {len(self.opens)} opens)"
@@ -209,27 +211,36 @@ class ContinuousMap:
 # -- the regular closed and regular open algebras --
 
 
-def _regular_families(X: FiniteSpace) -> tuple[list[int], list[int]]:
-    """The regular closed and the regular open sets, each sorted.
-
-    F = cl(int F) makes F the closure of an open set, and the closure of
-    an open u is regular closed (int cl u contains u, so cl int cl u lies
-    between cl u and cl cl u). Likewise the regular open sets are the
-    int(cl(u)) for u open. So one pass over the opens finds both
-    families, instead of testing all 2^n subsets.
-    """
-    rc = set()
-    ro = set()
-    for u in X.opens:
-        c = closure(X, u)
-        rc.add(c)
-        ro.add(interior(X, c))
-    return sorted(rc), sorted(ro)
-
-
-def _atoms_of_family(sets: list[int]) -> list[int]:
+def _atoms_of_family(sets) -> list[int]:
     """Minimal nonzero members under inclusion."""
     return sorted(s for s in sets if s and not any(t and t != s and t & ~s == 0 for t in sets))
+
+
+def _regular_atoms(X: FiniteSpace) -> tuple[list[int], list[int]]:
+    """The RC atoms and the RO atoms, each sorted by mask.
+
+    Two minimal U_p, U_q that meet are equal (U_r lies in both for r in
+    both), so the minimal U_p are disjoint and their union D is the least
+    dense open set. For r in a minimal U_q, U_r = U_q; so cl(U_p) meets D
+    in U_p alone, and an open u meets D in the union of the minimal U_p
+    inside it. As D is dense and open, the regular closed set cl u is
+    cl(u ∩ D), the union of those cl(U_p); and each union of cl(U_p) is
+    the closure of an open set, hence regular closed. So RC(X) is the
+    powerset of the minimal U_p with atoms cl(U_p). int and cl are
+    inverse isomorphisms between RC(X) and RO(X), so the RO atoms are the
+    int(cl(U_p)). Two atoms of either algebra touch when their closures
+    meet.
+    """
+    rc = sorted(closure(X, u) for u in _atoms_of_family(set(X.neighborhoods)))
+    return rc, sorted(interior(X, c) for c in rc)
+
+
+def _unions_in_order(atoms: list[int]) -> list[int]:
+    """unions[m] is the union of the atoms whose bits are set in m."""
+    unions = [0]
+    for a in atoms:
+        unions += [u | a for u in unions]
+    return unions
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,30 +284,26 @@ class RcAlgebra:
 
 
 def rc_algebra(X: FiniteSpace) -> RcAlgebra:
-    rc_sets = _regular_families(X)[0]
-    atoms = _atoms_of_family(rc_sets)
+    """The regular closed algebra, built once per space object and kept on it."""
+    rc = X._rc
+    if rc is None:
+        rc = X._rc = _build_rc_algebra(X)
+    return rc
+
+
+def _build_rc_algebra(X: FiniteSpace) -> RcAlgebra:
+    atoms = _regular_atoms(X)[0]
     k = len(atoms)
-    if len(rc_sets) != 1 << k:
-        raise InternalInconsistencyError(
-            "regular closed family is not a finite Boolean algebra"
-        )
     alg = powerset_algebra(k)
     from_set = {}
-    for s in rc_sets:
-        below = _or_all(1 << i for i, a in enumerate(atoms) if a & ~s == 0)
-        if _or_all(a for a in atoms if a & ~s == 0) != s:
-            raise InternalInconsistencyError(
-                "a regular closed set is not the union of the atoms below it"
-            )
-        if from_set.setdefault(s, Element(alg, below)).mask != below:
-            raise InternalInconsistencyError("atom decomposition not unique")
-    if len({e.mask for e in from_set.values()}) != len(rc_sets):
-        raise InternalInconsistencyError("atom decomposition not injective")
-    rows = [
-        _or_all(1 << q for q, b in enumerate(atoms) if a & b) for a in atoms
-    ]
-    structure = ContactStructure(alg, rows)
-    lca = LocalContactAlgebra(ContactAlgebra(alg, structure), alg.one)
+    for m, s in enumerate(_unions_in_order(atoms)):
+        if closure(X, interior(X, s)) != s:
+            raise InternalInconsistencyError("a union of regular closed atoms is not regular closed")
+        from_set[s] = Element(alg, m)
+    if len(from_set) != 1 << k:
+        raise InternalInconsistencyError("regular closed atoms give fewer than 2^k unions")
+    rows = [_or_all(1 << q for q, b in enumerate(atoms) if a & b) for a in atoms]
+    lca = LocalContactAlgebra(ContactAlgebra(alg, ContactStructure(alg, rows)), alg.one)
     return RcAlgebra(X, lca, tuple(atoms), from_set)
 
 
@@ -343,30 +350,19 @@ class RoAlgebra:
 
 
 def ro_algebra(X: FiniteSpace) -> RoAlgebra:
+    """The regular open algebra; the join int(cl(union)) maps by nu to its closure."""
     rc = rc_algebra(X)
-    ro_sets = _regular_families(X)[1]
-    atoms = _atoms_of_family(ro_sets)
-    k = len(atoms)
-    if len(ro_sets) != 1 << k:
-        raise InternalInconsistencyError(
-            "regular open family is not a finite Boolean algebra"
-        )
-    alg = powerset_algebra(k)
-    from_set = {}
-    for s in ro_sets:
-        from_set[s] = Element(alg, _or_all(1 << i for i, a in enumerate(atoms) if a & ~s == 0))
+    atoms = _regular_atoms(X)[1]
+    alg = powerset_algebra(len(atoms))
     closed = [closure(X, a) for a in atoms]
     rows = [_or_all(1 << q for q, b in enumerate(closed) if a & b) for a in closed]
     ca = ContactAlgebra(alg, ContactStructure(alg, rows))
 
+    from_set = {}
     mapping = []
-    for m in range(alg.size):
-        union = _or_all(a for i, a in enumerate(atoms) if m >> i & 1)
+    for m, union in enumerate(_unions_in_order(atoms)):
         ro_set = interior(X, closure(X, union))
-        if ro_set not in from_set or from_set[ro_set].mask != m:
-            raise InternalInconsistencyError(
-                "a regular open set is not the join of the atoms below it"
-            )
+        from_set[ro_set] = Element(alg, m)
         mapping.append(rc.from_set(closure(X, ro_set)).mask)
     nu = BooleanHomomorphism(alg, rc.algebra, tuple(mapping))
     law = check_homomorphism(nu)
@@ -571,7 +567,8 @@ def regular_shrinking_dim_check(X: FiniteSpace, n: int) -> RegularShrinkingRepor
     if n < -1:
         raise ValidationError("n must be at least -1")
     size = n + 2
-    rc_sets, ro_sets = _regular_families(X)
+    rc_sets = rc_algebra(X).regular_closed_sets()
+    ro_sets = sorted(interior(X, f) for f in rc_sets)
 
     def shrink(cover: tuple[int, ...], need_interior_cover: bool) -> bool:
         per_slot = [[f for f in rc_sets if f & ~u == 0] for u in cover]
@@ -643,8 +640,7 @@ def pi_weight_of_space(X: FiniteSpace) -> int:
     nonzero open v inside it contains some U_q. So the minimal nonzero
     opens are the minimal members of {U_p}.
     """
-    ups = set(X.neighborhoods)
-    minimal = [u for u in ups if not any(v != u and v & ~u == 0 for v in ups)]
+    minimal = _atoms_of_family(set(X.neighborhoods))
     for u in X.opens:
         if u and not any(v & ~u == 0 for v in minimal):
             raise InternalInconsistencyError(
@@ -669,11 +665,11 @@ def is_pi_semiregular(X: FiniteSpace) -> bool:
     closed algebra, and that equality is asserted here.
 
     Every nonempty open contains some U_p, so it is enough that each U_p
-    contains a nonempty regular open set.
+    contains an RO atom, as each nonempty regular open set contains one.
     """
-    ro_sets = _regular_families(X)[1]
+    ro_atoms = _regular_atoms(X)[1]
     result = all(
-        any(v and v & ~u == 0 for v in ro_sets) for u in set(X.neighborhoods)
+        any(a & ~u == 0 for a in ro_atoms) for u in set(X.neighborhoods)
     )
     if result:
         from .weight import pi_weight
@@ -697,10 +693,11 @@ def lambda_t_map(
     closure of the preimage of its interior, read contravariantly as a
     table from the target's algebra to the source's.
 
-    Pass prebuilt RcAlgebra values to keep tables composable (tables
-    over separately built algebras compare unequal by design). When both
-    spaces are discrete the result is asserted to satisfy the bounded
-    morphism axioms; outside that case it is returned as computed.
+    Tables over one space object share its RC algebra, so they compose
+    with no algebras passed (tables over separately built algebras compare
+    unequal by design). When both spaces are discrete the result is
+    asserted to satisfy the bounded morphism axioms; outside that case it
+    is returned as computed.
     """
     t_rc = target_rc if target_rc is not None else rc_algebra(f.target)
     s_rc = source_rc if source_rc is not None else rc_algebra(f.source)

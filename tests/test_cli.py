@@ -244,6 +244,15 @@ def test_search_all_relations(capsys):
     assert "w_a=-" in lines[0]
 
 
+def test_search_all_relations_refuses_five_atoms(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--atoms", "5", "--contact-class", "all")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: search --contact-class all supports --atoms 1..4\n"
+
+
 def test_crosscheck(tmp_path, capsys):
     sp = tmp_path / "s.space"
     sp.write_text("points: 4\nopen: {0}\nopen: {1}\nopen: {0,1}\nopen: {0,1,2}\nopen: {0,1,3}\n")

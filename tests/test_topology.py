@@ -303,6 +303,19 @@ def test_lambda_t_identity_and_composition():
     assert ident.mapping == tuple(range(rx.algebra.size))
 
 
+def test_regular_algebras_are_built_once_per_space():
+    X, Y, Z = discrete_space(3), circle_model(), indiscrete_space(1)
+    for S in (X, Y, Z):
+        assert rc_algebra(S) is rc_algebra(S)
+        assert ro_algebra(S).rc is rc_algebra(S)
+    # tables over the same space objects compose with no algebras passed
+    f = ContinuousMap(X, Y, [0, 1, 2])
+    g = ContinuousMap(Y, Z, [0] * 4)
+    tf, tg = lambda_t_map(f), lambda_t_map(g)
+    assert tf.source is tg.target
+    assert compose_diamond(tf, tg).mapping == lambda_t_map(g.after(f)).mapping
+
+
 def test_lambda_t_on_non_discrete():
     X = circle_model()
     collapse = ContinuousMap(X, indiscrete_space(1), [0] * 4)

@@ -11,6 +11,7 @@ from functools import cache
 import pytest
 
 from contactalg import (
+    Element,
     FiniteSpace,
     ValidationError,
     closure,
@@ -24,9 +25,8 @@ from contactalg import (
     ro_algebra,
     weight_of_space,
 )
-from contactalg.topology import _regular_families
-
 from naive import (
+    naive_atoms,
     naive_closure,
     naive_interior,
     naive_irredundant_dim_cl,
@@ -34,6 +34,7 @@ from naive import (
     naive_is_semiregular,
     naive_pi_weight_of_space,
     naive_regular_closed,
+    naive_regular_families,
     naive_regular_open,
     naive_topology_families,
 )
@@ -76,9 +77,39 @@ def test_closure_and_interior_match_the_opens_sweep():
 def test_regular_families_match_the_subset_sweep():
     for X in spaces(4):
         rc, ro = naive_regular_closed(X), naive_regular_open(X)
-        assert _regular_families(X) == (rc, ro)
+        assert naive_regular_families(X) == (rc, ro)
         assert rc_algebra(X).regular_closed_sets() == rc
         assert ro_algebra(X).regular_open_sets() == ro
+
+
+def _below(atoms, s) -> int:
+    return sum(1 << i for i, a in enumerate(atoms) if a & ~s == 0)
+
+
+def test_regular_algebras_match_the_opens_pass():
+    """Atoms from the minimal neighbourhoods against the minimal members
+    of the families found by the pass over the opens, on every labelled
+    space of at most five points."""
+    count = 0
+    for n in range(6):
+        for X in enumerate_topologies(n):
+            rc_sets, ro_sets = naive_regular_families(X)
+            rc_atoms, ro_atoms = naive_atoms(rc_sets), naive_atoms(ro_sets)
+            rc, ro = rc_algebra(X), ro_algebra(X)
+            assert rc.atom_sets == tuple(rc_atoms)
+            assert ro.atom_sets == tuple(ro_atoms)
+            assert rc.regular_closed_sets() == rc_sets
+            assert ro.regular_open_sets() == ro_sets
+            for s in rc_sets:
+                assert rc.from_set(s).mask == _below(rc_atoms, s)
+            for s in ro_sets:
+                m = _below(ro_atoms, s)
+                assert ro.from_set(s).mask == m
+                nu = ro.nu(Element(ro.algebra, m)).mask
+                assert nu == _below(rc_atoms, naive_closure(X, s))
+            assert is_pi_semiregular(X) == naive_is_pi_semiregular(X)
+            count += 1
+    assert count == 7332
 
 
 def test_space_invariants_match_the_opens_sweep():
