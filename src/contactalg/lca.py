@@ -121,6 +121,22 @@ def check_lca_axiom(L: LocalContactAlgebra, name: str) -> AxiomReport:
       so a needs R(a) & b & u != 0.
     - LC3: a nonzero bounded b << a exists iff an atom of u does, as an
       atom of b has a smaller reach than b.
+
+    LC1 and LC2 quantify over pairs, and each holds iff it holds at an
+    extremal pair, which a test over the atoms decides. The ordered pair
+    sweep runs only when the test fails; if it then finds no witness the
+    two disagree, and InternalInconsistencyError is raised rather than a
+    pass reported.
+
+    - LC1 fails at (a, c) iff R(a) <= c and R(a) is not below u or
+      R(R(a)) is not below c. The least such c is R(a), so LC1 holds
+      iff R(a) <= u and R(R(a)) <= R(a) for every bounded a. Both sides
+      are unions over the atoms p of a, so that is: row(p) <= u and
+      R(row(p)) <= row(p) for every atom p <= u.
+    - LC2 fails at (a, b) iff R(a) & b != 0 and R(a) & b & u = 0. With
+      b = -u that happens iff R(a) is not below u, and when R(a) <= u
+      the two conditions contradict. So LC2 holds iff R(1) <= u, that
+      is iff every row lies within u.
     """
     if name not in LCA_AXIOM_NAMES:
         raise ValidationError(f"unknown axiom {name!r}")
@@ -128,38 +144,79 @@ def check_lca_axiom(L: LocalContactAlgebra, name: str) -> AxiomReport:
     size = alg.size
     u = L.bounded_top.mask
     reach = L.ca.contact.closure_table()
+    bounded_rows = [row for p, row in enumerate(L.ca.contact.rows) if u >> p & 1]
 
     def fail(*masks: int) -> AxiomReport:
         return AxiomReport(False, name, tuple(Element(alg, m) for m in masks))
 
     if name == "LC1":
+        if not any(row & ~u or reach[row] & ~row for row in bounded_rows):
+            return AxiomReport(True, name)
         for a in L.bounded_masks():
             ra = reach[a]
             for c in range(size):
                 if not ra & ~c and (ra & ~u or reach[ra] & ~c):
                     return fail(a, c)
     elif name == "LC2":
+        if not reach[alg.full_mask] & ~u:
+            return AxiomReport(True, name)
         for a in range(size):
             ra = reach[a]
             for b in range(size):
                 if ra & b and not ra & b & u:
                     return fail(a, b)
     else:
-        rows = [row for p, row in enumerate(L.ca.contact.rows) if u >> p & 1]
         for a in range(1, size):
-            if all(row & ~a for row in rows):
+            if all(row & ~a for row in bounded_rows):
                 return fail(a)
-    return AxiomReport(True, name)
+        return AxiomReport(True, name)
+    raise InternalInconsistencyError(
+        f"{name} failed its extremal test but the pair sweep found no witness"
+    )
+
+
+def _minimal_intervals(L: LocalContactAlgebra) -> list[tuple[int, int]]:
+    """The minimal well-inside intervals [a, R(a)] of the bounded part,
+    as mask pairs with a in the order of _submasks(u).
+
+    R is the reach table and u the bounded top, so a << c iff R(a) <= c.
+    Write I(c) for the join of the atoms p <= u with row(p) <= c: the
+    largest bounded a with a << c. The minimal intervals are the pairs
+    (a, R(a)) with R(a) <= u and I(R(a)) = a, at most one per bounded a,
+    found with one pass over the atoms each. (On a reflexive relation
+    I(c) <= c, so for c <= u the bound u on I changes nothing.)
+
+    Lemma: a set meets every bounded interval [a, c] with a << c iff it
+    meets every minimal one. Minimal intervals are such intervals. Given
+    bounded a << c, let c0 = R(a) <= c and a0 = I(c0). Each atom of a
+    has its row inside c0, so a <= a0; then R(a) <= R(a0) <= c0 gives
+    R(a0) = c0, and I(R(a0)) = a0. So [a0, c0] is minimal, and it lies
+    inside [a, c].
+    """
+    u = L.bounded_top.mask
+    reach = L.ca.contact.closure_table()
+    rows = L.ca.contact.rows
+    bounded_atoms = [(1 << p, rows[p]) for p in range(L.algebra.atom_count) if u >> p & 1]
+    out = []
+    for a in _submasks(u):
+        c = reach[a]
+        if c & ~u == 0 and not any(
+            row & ~c == 0 for bit, row in bounded_atoms if not a & bit
+        ):
+            out.append((a, c))
+    return out
 
 
 def is_dv_dense(L: LocalContactAlgebra, members: Sequence[Element]) -> bool:
     """Is D a base: every bounded pair a << c has d in D with a <= d <= c?
 
-    A known fact states the order form above is equivalent to the
-    interpolation form (some d in D with a << d << c). The equivalence is
-    a theorem only for valid structures, so for those this computes both
-    forms and raises InternalInconsistencyError if they disagree; on
-    invalid structures only the defining order form is used.
+    That order form is decided on the minimal intervals alone, by the
+    lemma in _minimal_intervals. A known fact states the order form is
+    equivalent to the interpolation form (some d in D with a << d << c).
+    The equivalence is a theorem only for valid structures, so for those
+    this also computes the interpolation form over every bounded pair
+    and raises InternalInconsistencyError if the two disagree; on
+    invalid structures only the order form is used.
     """
     alg = L.algebra
     full = alg.full_mask
@@ -177,16 +234,10 @@ def is_dv_dense(L: LocalContactAlgebra, members: Sequence[Element]) -> bool:
     def ll(x: int, y: int) -> bool:
         return reach[x] & (full ^ y) == 0
 
-    order_form = True
-    for a in bounded:
-        for c in bounded:
-            if ll(a, c) and not any(
-                a & ~d == 0 and d & ~c == 0 for d in d_masks
-            ):
-                order_form = False
-                break
-        if not order_form:
-            break
+    order_form = all(
+        any(a & ~d == 0 and d & ~c == 0 for d in d_masks)
+        for a, c in _minimal_intervals(L)
+    )
 
     if L.is_valid():
         interp_form = True

@@ -4,10 +4,11 @@ A base for a bounded structure is a dV-dense set D inside the bounded
 ideal, and the weight is the least cardinality of one. The search here
 is exact: elements a with a << a are forced into every base (the only x
 with a <= x <= a is a itself), and what remains is a minimum hitting-set
-problem over the uncovered well-inside pairs, solved by depth-limited
-branching on the most constrained pair with a greedy packing lower
-bound. Pi-weight needs no relation at all; it delegates to the dense
-subset minimum of the carrier algebra.
+problem over the minimal well-inside intervals [a, R(a)] (R the reach
+table) that no forced member meets, solved by depth-limited branching
+on the most constrained interval with a greedy packing lower bound.
+Pi-weight needs no relation at all; it delegates to the dense subset
+minimum of the carrier algebra.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .boolean import (
 )
 from .contact import AxiomReport, ContactAlgebra, ContactStructure, check_axiom
 from .errors import InternalInconsistencyError, ValidationError
-from .lca import LocalContactAlgebra, _submasks, is_dv_dense
+from .lca import LocalContactAlgebra, _minimal_intervals, _submasks, is_dv_dense
 
 
 def is_base(L: LocalContactAlgebra, members) -> bool:
@@ -82,51 +83,66 @@ def _minimum_base(L: LocalContactAlgebra, pool_masks) -> BaseSearchState:
     """Forced members plus a minimum completion drawn from pool_masks.
 
     pool_masks must at least contain every forced element; ValidationError
-    otherwise (a base within the pool then cannot exist).
+    otherwise (a base within the pool then cannot exist). It is raised as
+    well when some well-inside interval holds no element of the pool.
+
+    The sets to hit are the minimal intervals [a, R(a)] (R the reach
+    table), which by the lemma in lca._minimal_intervals are met by a set
+    iff every well-inside pair a << c of the bounded part is. A forced f
+    (R(f) <= f) inside [a, R(a)] has R(a) <= R(f) <= f, so f = R(a): a
+    nonempty interval is met by a forced member iff its top is forced.
+
+    The witness is the one the search over all bounded pairs a << c
+    finds, with the pairs listed by a, then c, in _submasks order (0
+    first, then decreasing masks) and the same pool. Every such pair P
+    contains a minimal interval M(P) = [a0, c0], whose candidates are a
+    subset of P's, and M(P) is unmet whenever P is. So at every node the
+    least candidate count over the unmet pairs is reached by some unmet
+    minimal interval, and a pool member in no minimal interval is never a
+    candidate of the branch. On ties the first pair in the order wins;
+    write P* = (a, c) for it. M(P*) ties with P*, so its candidates are
+    the same set. If a0 != a, then a < a0 as masks. For a != 0 that puts
+    a0, and so M(P*), first in the order, against the choice of P*. For
+    a = 0 it makes M(P*) = [a0, R(0)] = [a0, 0] empty, so the interpolant
+    check raised before any search. So a0 = a, and every pair between P*
+    and M(P*) in the order has first member a0, while the only minimal
+    interval with that first member is M(P*) itself. The first minimal
+    interval of least count is therefore M(P*): both searches branch on
+    the same candidates, in the same ascending order, and the lower
+    bound and the failure memo only cut subtrees with no solution, so
+    both return the same first minimum base.
     """
-    alg = L.algebra
-    full = alg.full_mask
     reach = L.ca.contact.closure_table()
-    bounded = _submasks(L.bounded_top.mask)
+    u = L.bounded_top.mask
     pool_set = set(pool_masks)
 
-    def ll(x: int, y: int) -> bool:
-        return reach[x] & (full ^ y) == 0
-
-    forced = [a for a in bounded if ll(a, a)]
+    forced = [a for a in _submasks(u) if reach[a] & ~a == 0]
     for a in forced:
         if a not in pool_set:
             raise ValidationError("pool misses a forced member; no base inside it")
     forced_set = set(forced)
 
-    uncovered: list[tuple[int, int]] = []
-    for a in bounded:
-        ra = reach[a]
-        for c in bounded:
-            if ra & (full ^ c) == 0:
-                if not any(a & ~f == 0 and f & ~c == 0 for f in forced_set):
-                    uncovered.append((a, c))
+    uncovered = [
+        (a, c)
+        for a, c in _minimal_intervals(L)
+        if a & ~c or c not in forced_set
+    ]
     if not uncovered:
         return BaseSearchState(L, tuple(sorted(forced)), len(forced))
 
-    pool = sorted(
-        d
-        for d in pool_set
-        if d not in forced_set
-        and d & ~L.bounded_top.mask == 0
-        and any(a & ~d == 0 and d & ~c == 0 for a, c in uncovered)
-    )
+    spare = [d for d in pool_set if d not in forced_set and d & ~u == 0]
+    inside = [[d for d in spare if a & ~d == 0 and d & ~c == 0] for a, c in uncovered]
+    if not all(inside):
+        raise ValidationError("pool misses every interpolant of some pair")
+    pool = sorted({d for ds in inside for d in ds})
     index = {d: j for j, d in enumerate(pool)}
     np_ = len(uncovered)
     cand = [0] * np_  # candidate pool-indices per pair, as bitmask
     cover = [0] * len(pool)  # pairs covered per pool element, as bitmask
-    for i, (a, c) in enumerate(uncovered):
-        for d in pool:
-            if a & ~d == 0 and d & ~c == 0:
-                cand[i] |= 1 << index[d]
-                cover[index[d]] |= 1 << i
-    if any(m == 0 for m in cand):
-        raise ValidationError("pool misses every interpolant of some pair")
+    for i, ds in enumerate(inside):
+        for d in ds:
+            cand[i] |= 1 << index[d]
+            cover[index[d]] |= 1 << i
 
     conflict = [0] * np_  # pairs sharing at least one candidate
     for i in range(np_):

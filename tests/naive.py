@@ -9,7 +9,7 @@ the two facts it uses to stay affordable on four atoms.
 
 from itertools import combinations, combinations_with_replacement, product
 
-from contactalg import AxiomReport, ContactAlgebra, Element
+from contactalg import AxiomReport, BaseSearchState, ContactAlgebra, Element, ValidationError
 
 
 def naive_way_below(ca: ContactAlgebra, x: Element, y: Element) -> bool:
@@ -157,6 +157,122 @@ def naive_min_base(L):
             if naive_is_base(L, subset):
                 return size, subset
     raise AssertionError("the full bounded part is always a base")
+
+
+def naive_minimum_base(L, pool_masks):
+    """The minimum-base search over every bounded pair a << c, as the
+    engine ran it before it kept only the minimal intervals: forced
+    members plus a minimum completion drawn from pool_masks, as a
+    BaseSearchState. The pairs are listed by a, then c, each in
+    descending mask order after 0, and the witness is the search's first
+    minimum."""
+    bounded = _submasks(L.bounded_top.mask)
+    alg = L.algebra
+    full = alg.full_mask
+    reach = L.ca.contact.closure_table()
+    pool_set = set(pool_masks)
+
+    def ll(x: int, y: int) -> bool:
+        return reach[x] & (full ^ y) == 0
+
+    forced = [a for a in bounded if ll(a, a)]
+    for a in forced:
+        if a not in pool_set:
+            raise ValidationError("pool misses a forced member; no base inside it")
+    forced_set = set(forced)
+
+    uncovered: list[tuple[int, int]] = []
+    for a in bounded:
+        ra = reach[a]
+        for c in bounded:
+            if ra & (full ^ c) == 0:
+                if not any(a & ~f == 0 and f & ~c == 0 for f in forced_set):
+                    uncovered.append((a, c))
+    if not uncovered:
+        return BaseSearchState(L, tuple(sorted(forced)), len(forced))
+
+    pool = sorted(
+        d
+        for d in pool_set
+        if d not in forced_set
+        and d & ~L.bounded_top.mask == 0
+        and any(a & ~d == 0 and d & ~c == 0 for a, c in uncovered)
+    )
+    index = {d: j for j, d in enumerate(pool)}
+    np_ = len(uncovered)
+    cand = [0] * np_  # candidate pool-indices per pair, as bitmask
+    cover = [0] * len(pool)  # pairs covered per pool element, as bitmask
+    for i, (a, c) in enumerate(uncovered):
+        for d in pool:
+            if a & ~d == 0 and d & ~c == 0:
+                cand[i] |= 1 << index[d]
+                cover[index[d]] |= 1 << i
+    if any(m == 0 for m in cand):
+        raise ValidationError("pool misses every interpolant of some pair")
+
+    conflict = [0] * np_  # pairs sharing at least one candidate
+    for i in range(np_):
+        for j in range(np_):
+            if cand[i] & cand[j]:
+                conflict[i] |= 1 << j
+
+    def lower_bound(remaining: int) -> int:
+        lb = 0
+        r = remaining
+        while r:
+            i = (r & -r).bit_length() - 1
+            lb += 1
+            r &= ~conflict[i]
+        return lb
+
+    failed_at: dict[int, int] = {}
+    chosen: list[int] = []
+
+    def dfs(remaining: int, depth: int) -> bool:
+        if remaining == 0:
+            return True
+        if depth == 0 or lower_bound(remaining) > depth:
+            return False
+        if failed_at.get(remaining, -1) >= depth:
+            return False
+        best = -1
+        best_count = 1 << 62
+        r = remaining
+        while r:
+            i = (r & -r).bit_length() - 1
+            r &= r - 1
+            count = cand[i].bit_count()
+            if count < best_count:
+                best, best_count = i, count
+        options = cand[best]
+        while options:
+            j = (options & -options).bit_length() - 1
+            options &= options - 1
+            chosen.append(pool[j])
+            if dfs(remaining & ~cover[j], depth - 1):
+                return True
+            chosen.pop()
+        failed_at[remaining] = depth
+        return False
+
+    all_pairs = (1 << np_) - 1
+    depth = lower_bound(all_pairs)
+    while True:
+        chosen.clear()
+        if dfs(all_pairs, depth):
+            return BaseSearchState(
+                L, tuple(sorted(forced + chosen)), len(forced) + depth
+            )
+        depth += 1
+
+
+def _submasks(u: int) -> list[int]:
+    out = [0]
+    s = u
+    while s:
+        out.append(s)
+        s = (s - 1) & u
+    return out
 
 
 def naive_min_dense(algebra):
