@@ -11,30 +11,23 @@ additive extension, so reach(x), the union of the rows of the atoms of
 x, is additive, and y << x iff reach(y) <= x iff y <= I(x), where
 I(x) = {p : row(p) <= x} is the largest element well inside x.
 
-When D is the whole algebra every quantifier is taken over atoms:
+When D is the whole algebra every quantifier is taken over atoms. A
+witness for an a-tuple is an assignment of atoms to slots
+(_atom_witness), and both verdicts are decided over the partitions c of
+the atoms into at most n+2 blocks (_block_pairs): the level holds iff
+every tuple (reach(c_i)) has a witness, and otherwise the least failing
+partition is the first counterexample (proof in _decide).
 
-  * a witness for an a-tuple is an assignment of atoms to slots
-    (_atom_witness);
-  * a true verdict is decided over the partitions of the atoms into at
-    most n+2 blocks (_block_reaches), not over (b, a) tuples.
+A smaller pool D (dim --subset, lca_query(bounded_witnesses=True)) runs
+one ordered sweep over multisets of (b, a) pairs (_first_counterexample),
+sound as the witness conditions never mention b and are symmetric in the
+slots, with the element-level witness search (_search_witness): d-tuple
+first, pruned on the running meet and on the best possible c-join, then
+the c-tuple under join pruning. Witness verdicts are memoized per
+a-multiset, and dim_leq verdicts per n, on the query.
 
-A smaller pool D (dim --subset, lca_query(bounded_witnesses=True)) keeps
-the element-level witness search (_search_witness): it picks the d-tuple
-first, a branch dying when some bit of the running meet is present in
-every remaining candidate or when the best possible c-join is short of
-1, then the c-tuple under join pruning.
-
-A false verdict carries the first counterexample of one ordered sweep
-(_first_counterexample), shared by both cases. It enumerates multisets
-of (b, a) pairs in sorted order, sound because the witness conditions
-never mention b and are symmetric under permuting slots, and at the last
-slot it visits only the pairs whose b covers what the others leave out.
-Witness verdicts are memoized per a-multiset, and dim_leq verdicts per
-n, on the query.
-
-tests/naive.py re-implements the definition: ordered tuples with no
-pruning for verdicts, and the engine's multiset order for the first
-counterexample. The suite compares verdicts and counterexamples.
+tests/naive.py re-implements the definition, with no pruning, and the
+suite compares verdicts and first counterexamples.
 """
 
 from __future__ import annotations
@@ -42,6 +35,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Sequence
 
 from .boolean import Element
@@ -112,8 +106,8 @@ class DimVerdict:
 
 
 def dim_leq(q: DimensionQuery, n: int) -> DimVerdict:
-    """Decide "dimension at most n"; on failure carry the first offending
-    (a, b) tuple pair in enumeration order.
+    """Decide "dimension at most n"; on failure carry the a- and b-tuples
+    of the least offending multiset of (b, a) pairs in sorted order.
 
     The verdict is memoized on the query, so asking again for the same n
     costs a lookup.
@@ -132,68 +126,73 @@ def dim_leq(q: DimensionQuery, n: int) -> DimVerdict:
 
 
 def _decide(q: DimensionQuery, n: int) -> DimVerdict:
+    """Decide one level. A counterexample is a multiset of k = n+2 pairs
+    b_i << a_i from D whose b's join to 1 and whose a's have no witness;
+    the one reported is the least as a sorted tuple of pairs, which
+    _first_counterexample finds for a pool.
+
+    For D the whole algebra it is the least failing tuple of _block_pairs.
+    Two shrink steps each turn a failing multiset into a strictly smaller
+    failing one, by replacing one pair with a strictly smaller pair, so
+    neither applies to the least. They use only that witness existence is
+    up-closed in each a_i (d << a <= a' gives d << a') and that reach is
+    monotone, so they hold on any relation, reflexive or not.
+
+      * a shrinks to reach(b): b << reach(b), and if a_i != reach(b_i)
+        then reach(b_i) < a_i, so (b_i, reach(b_i)) is smaller and fails.
+      * The b's become disjoint: if an atom p lies in b_i and b_j, i != j,
+        then (b_i - p, reach(b_i - p)) is smaller, the b's still join to
+        1 because b_j keeps p, and the lower a-tuple still fails.
+
+    So the least counterexample pairs the blocks of a partition of the
+    atoms into at most k blocks with their reaches, padded with
+    (0, reach(0)) = (0, 0); each such tuple is an outer one. A tuple not
+    below the best failure so far skips its witness call, and the
+    element-level _search_witness cross-checks the one reported.
+    """
     alg = q.ca.algebra
     if n == -1:
         return DimVerdict(alg.size == 1, n)
     k = n + 2
     full = alg.full_mask
     reach = q.ca.contact.closure_table()
-    memo = q._inner_memo
     whole = len(q.masks) == alg.size
-    if whole:
-        search = _atom_witness(q.ca)
-    else:
-        def search(a_multiset):
-            return _search_witness(q, reach, full, a_multiset)
+    search = _atom_witness(q.ca) if whole else partial(_search_witness, q, reach, full)
 
-    def witness_exists(a_multiset: tuple[int, ...]) -> bool:
-        try:
-            return memo[a_multiset]
-        except KeyError:
-            pass
-        result = search(a_multiset)
-        memo[a_multiset] = result
+    def witness_exists(a_list) -> bool:
+        key = tuple(sorted(a_list))
+        result = q._inner_memo.get(key)
+        if result is None:
+            result = q._inner_memo[key] = search(key)
         return result
 
-    if whole and all(
-        witness_exists(a) for a in _block_reaches(alg.atom_count, k, reach)
-    ):
-        return DimVerdict(True, n)
-    bad = _first_counterexample(q.masks, reach, full, k, witness_exists)
-    if bad is None:
-        if whole:
+    if whole:
+        bad = None
+        for pairs in _block_pairs(alg.atom_count, k, reach):
+            if (bad is None or pairs < bad) and not witness_exists(a for _, a in pairs):
+                bad = pairs
+        if bad and _search_witness(q, reach, full, tuple(a for _, a in bad)):
             raise InternalInconsistencyError(
-                f"dim_leq({n}): a block partition has no witness, "
-                "but the pair sweep finds no counterexample"
+                f"dim_leq({n}): the least failing partition has an element-level witness"
             )
+    else:
+        bad = _first_counterexample(q.masks, reach, full, k, witness_exists)
+    if bad is None:
         return DimVerdict(True, n)
     a_tuple = tuple(Element(alg, a) for _, a in bad)
     b_tuple = tuple(Element(alg, b) for b, _ in bad)
     return DimVerdict(False, n, a_tuple, b_tuple)
 
 
-def _block_reaches(atom_count: int, k: int, reach) -> Iterator[tuple[int, ...]]:
-    """Yield (reach(c_1), ..., reach(c_k)), sorted, for every partition c
-    of the atoms into at most k blocks, padded with empty blocks.
-
-    With D the whole algebra these are the only a-tuples dim_leq must
-    test. Each is an outer tuple, paired with the blocks as b's, since
-    c << reach(c). Conversely take b_i << a_i with the b's joining to 1;
-    giving each atom to one slot whose b contains it yields a partition
-    with c_i <= b_i, so reach(c_i) <= reach(b_i) <= a_i. Witness existence
-    is upward-closed in each a_i (d << a <= a' gives d << a'), so a
-    witness for the block tuple is one for (a_1, ..., a_k). The witness
-    conditions are symmetric under permuting slots, so the order of the
-    blocks does not matter.
-    """
+def _block_pairs(atom_count: int, k: int, reach) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield the sorted pairs (c_i, reach(c_i)), padded with (0, 0) to k
+    pairs, for every partition c of the atoms into at most k blocks."""
     blocks: list[int] = []
 
-    def place(p: int) -> Iterator[tuple[int, ...]]:
+    def place(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if p == atom_count:
-            a = [reach[c] for c in blocks]
-            a += [0] * (k - len(a))
-            a.sort()
-            yield tuple(a)
+            pad = ((0, 0),) * (k - len(blocks))
+            yield pad + tuple((c, reach[c]) for c in sorted(blocks))
             return
         bit = 1 << p
         for j in range(len(blocks)):
@@ -287,8 +286,9 @@ def _atom_witness(ca: ContactAlgebra):
 def _first_counterexample(
     d_masks: tuple[int, ...], reach, full: int, k: int, witness_exists
 ) -> tuple[tuple[int, int], ...] | None:
-    """The first multiset of k (b, a) pairs, b << a drawn from D, whose b's
-    join to 1 and whose a's have no witness, or None.
+    """The first multiset of k (b, a) pairs, b << a drawn from a pool D,
+    whose b's join to 1 and whose a's have no witness, or None. For D the
+    whole algebra _decide takes the least failing block partition instead.
 
     Multisets are enumerated as non-decreasing index sequences into the
     sorted pair list. A leaf whose b's do not join to 1 is no outer tuple,
@@ -320,7 +320,7 @@ def _first_counterexample(
                 if group_bs[g] & need != need:
                     continue
                 for i in range(max(group_first[g], start), group_first[g + 1]):
-                    if not witness_exists(tuple(sorted(head + [pairs[i][1]]))):
+                    if not witness_exists(head + [pairs[i][1]]):
                         return tuple(chosen) + (pairs[i],)
             return None
         for i in range(start, len(pairs)):
@@ -364,7 +364,6 @@ def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, 
     # best possible further c-coverage, per suffix of slots
     suffix_forced = [full] * (k + 1)
     suffix_cpot = [0] * (k + 1)
-    suffix_forced[k] = full
     for i in range(k - 1, -1, -1):
         forced = full
         cpot = 0

@@ -62,3 +62,26 @@ def sampled_contact_algebras(atom_count: int, count: int, seed: int = 0):
         if len(out) == count:
             break
     return out
+
+
+def sample_not_reflexive_symmetric(count: int, seed: int) -> list[ContactStructure]:
+    """Relations on four atoms that are not reflexive symmetric, a third
+    of them made reflexive and a third symmetric, so that C4 and LL1
+    each both pass and fail."""
+    rng = random.Random(seed)
+    alg = powerset_algebra(4)
+    seen = set()
+    while len(seen) < count:
+        rows = [rng.randrange(alg.size) for _ in range(4)]
+        if len(seen) % 3 == 1:
+            rows = [row | 1 << p for p, row in enumerate(rows)]
+        elif len(seen) % 3 == 2:
+            rows = [
+                row | sum(1 << q for q in range(4) if rows[q] >> p & 1)
+                for p, row in enumerate(rows)
+            ]
+        reflexive = all(row >> p & 1 for p, row in enumerate(rows))
+        symmetric = all(rows[p] >> q & 1 == rows[q] >> p & 1 for p in range(4) for q in range(4))
+        if not (reflexive and symmetric):
+            seen.add(tuple(rows))
+    return [ContactStructure(alg, rows) for rows in sorted(seen)]

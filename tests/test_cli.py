@@ -317,8 +317,8 @@ def test_non_utf8_file_is_refused(tmp_path, capsys):
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     from contactalg import dimension
 
-    # a sweep that never finds the counterexample the partition check saw
-    monkeypatch.setattr(dimension, "_first_counterexample", lambda *args: None)
+    # an element search that finds a witness for the least failing partition
+    monkeypatch.setattr(dimension, "_search_witness", lambda *args: True)
     code, out, err = run(capsys, "dim", algebra_path(tmp_path), "--close", "rs", "--max-n", "1")
     assert code == 3
     assert out == ""

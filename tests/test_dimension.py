@@ -1,3 +1,4 @@
+import time
 import warnings
 from itertools import combinations_with_replacement
 
@@ -23,9 +24,9 @@ from contactalg import (
     powerset_algebra,
     query,
 )
-from contactalg import dimension
+from contactalg import cli, dimension
 
-from conftest import sampled_contact_algebras
+from conftest import sample_not_reflexive_symmetric, sampled_contact_algebras
 from naive import naive_dim_leq, naive_first_counterexample
 
 # the structured sub-universe of the six-cycle: singletons, adjacent
@@ -230,6 +231,76 @@ def test_verdicts_and_counterexamples_match_oracle_on_four_atom_graphs():
         q = query(ca, None, 2)
         for n in (0, 1, 2):
             assert verdict_masks(dim_leq(q, n)) == oracle_verdict(ca, n), (ca.contact.rows, n)
+
+
+def match_oracle(algebras, levels):
+    """Compare whole verdicts at each level; return the verdicts seen."""
+    seen = set()
+    for ca in algebras:
+        q = query(ca, None, max(levels))
+        for n in levels:
+            verdict = verdict_masks(dim_leq(q, n))
+            assert verdict == oracle_verdict(ca, n), (ca.contact.rows, n)
+            seen.add(verdict[0])
+    return seen
+
+
+def test_verdicts_and_counterexamples_match_oracle_off_reflexive_symmetric():
+    # the least failing partition is the first counterexample on any
+    # relation, reflexive or not
+    sample = sample_not_reflexive_symmetric(200, seed=13)
+    algebras = (ContactAlgebra(s.algebra, s) for s in sample)
+    assert match_oracle(algebras, (0, 1, 2)) == {True, False}
+
+
+def test_verdicts_and_counterexamples_match_oracle_on_five_atom_graphs():
+    every_seventh = list(every_algebra([5], reflexive_symmetric=True))[::7]
+    assert match_oracle(every_seventh, (0, 1)) == {True, False}
+
+
+# The slowest known graphs for dim --scan --max-n 3 while false levels
+# ran the ordered pair sweep. Verdicts for n = -1..3, then the
+# counterexample at the first false level n >= 0; each further level adds
+# a leading (0, 0) pair.
+SLOW_ROWS = [
+    ((1, 2, 52, 56, 28, 44), (False, True, True, False, False),
+     2, (52, 56, 28, 47), (4, 8, 16, 35)),
+    ((19, 7, 134, 8, 145, 96, 96, 148), (False, True, False, False, False),
+     1, (19, 135, 253), (1, 6, 248)),
+]
+
+
+@pytest.mark.parametrize("rows, verdicts, first, a, b", SLOW_ROWS)
+def test_slow_rows_scan_to_cap_within_budget(rows, verdicts, first, a, b):
+    alg = powerset_algebra(len(rows))
+    q = query(ContactAlgebra(alg, ContactStructure(alg, rows)), None, 3)
+    start = time.perf_counter()
+    result = dim_a(q, scan_to_cap=True)
+    elapsed = time.perf_counter() - start
+    assert tuple(v for _, v in result.verdicts) == verdicts
+    for n in range(first, 4):
+        pad = (0,) * (n - first)
+        assert verdict_masks(dim_leq(q, n)) == (False, pad + a, pad + b), n
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_slow_eight_atom_row_through_the_cli(tmp_path, capsys):
+    rows = SLOW_ROWS[1][0]
+    edges = [(p, r) for p, row in enumerate(rows) for r in range(p + 1, 8) if row >> r & 1]
+    path = tmp_path / "row.alg"
+    path.write_text("atoms: 8\n" + "".join(f"contact: {p} {r}\n" for p, r in edges))
+    start = time.perf_counter()
+    code = cli.main(["dim", str(path), "--close", "rs", "--scan", "--max-n", "3"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out.splitlines()
+    # the non-monotone verdicts are reported as a failing property, exit 1
+    assert code == 1
+    assert "dim_a = 0" in out
+    assert (
+        "PROP dim_monotone FAIL true_at=0,false_at=1;true_at=0,false_at=2;true_at=0,false_at=3"
+        in out
+    )
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 def test_atom_witness_matches_pool_engine():
