@@ -14,9 +14,12 @@ I(x) = {p : row(p) <= x} is the largest element well inside x.
 When D is the whole algebra every quantifier is taken over atoms. A
 witness for an a-tuple is an assignment of atoms to slots
 (_atom_witness), and both verdicts are decided over the partitions c of
-the atoms into at most n+2 blocks (_block_pairs): the level holds iff
-every tuple (reach(c_i)) has a witness, and otherwise the least failing
-partition is the first counterexample (proof in _decide).
+the atoms into at most n+2 blocks: the level holds iff every tuple
+(reach(c_i)) has a witness, and otherwise the least failing partition is
+the first counterexample (proof in _decide). Sorted pair tuples
+(c_i, reach(c_i)) compare as the padded block tuples do, whatever the
+relation, so one ascending table per (atoms, n+2) serves every query
+(_partitions), and a false level stops at its first failing entry.
 
 A smaller pool D (dim --subset, lca_query(bounded_witnesses=True)) runs
 one ordered sweep over multisets of (b, a) pairs (_first_counterexample),
@@ -24,7 +27,8 @@ sound as the witness conditions never mention b and are symmetric in the
 slots, with the element-level witness search (_search_witness): d-tuple
 first, pruned on the running meet and on the best possible c-join, then
 the c-tuple under join pruning. Witness verdicts are memoized per
-a-multiset, and dim_leq verdicts per n, on the query.
+a-multiset, dim_leq verdicts per n, and the witness candidate tables
+once, on the query.
 
 tests/naive.py re-implements the definition, with no pruning, and the
 suite compares verdicts and first counterexamples.
@@ -35,8 +39,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Sequence
 
 from .boolean import Element
 from .contact import ContactAlgebra
@@ -47,30 +51,34 @@ from .topology import _or_all
 
 @dataclass(frozen=True)
 class DimensionQuery:
-    """A contact algebra, a witness pool D containing 0 and 1, and a cap."""
+    """A contact algebra, a witness pool D containing 0 and 1, and a cap.
+
+    masks holds the sorted distinct masks of D. Members whose masks are
+    already strictly increasing are kept as given; otherwise they are
+    rebuilt in that order.
+    """
 
     ca: ContactAlgebra
     members: tuple[Element, ...]
     n_cap: int = 3
-    # witness verdicts keyed by sorted a-tuple, DimVerdicts by ("verdict", n)
+    masks: tuple[int, ...] = field(init=False, repr=False)
+    # witness verdicts keyed by sorted a-tuple, DimVerdicts by ("verdict", n),
+    # and the witness candidate tables of _search_witness by "candidates"
     _inner_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.n_cap < -1:
+            raise ValidationError(f"dimension cap must be at least -1, got {self.n_cap}")
         alg = self.ca.algebra
-        masks = set()
-        for x in self.members:
-            if x.algebra is not alg:
-                raise MismatchError("D contains an element of a different algebra")
-            masks.add(x.mask)
-        if 0 not in masks or alg.full_mask not in masks:
+        if any(x.algebra is not alg for x in self.members):
+            raise MismatchError("D contains an element of a different algebra")
+        masks = tuple(x.mask for x in self.members)
+        if any(m >= m_next for m, m_next in zip(masks, masks[1:])):
+            masks = tuple(sorted(set(masks)))
+            object.__setattr__(self, "members", tuple(Element(alg, m) for m in masks))
+        if not masks or masks[0] != 0 or masks[-1] != alg.full_mask:
             raise ValidationError("D must contain 0 and 1")
-        object.__setattr__(
-            self, "members", tuple(Element(alg, m) for m in sorted(masks))
-        )
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(x.mask for x in self.members)
+        object.__setattr__(self, "masks", masks)
 
 
 def query(ca: ContactAlgebra, members: Sequence[Element] | None = None, n_cap: int = 3) -> DimensionQuery:
@@ -131,12 +139,13 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     the one reported is the least as a sorted tuple of pairs, which
     _first_counterexample finds for a pool.
 
-    For D the whole algebra it is the least failing tuple of _block_pairs.
-    Two shrink steps each turn a failing multiset into a strictly smaller
-    failing one, by replacing one pair with a strictly smaller pair, so
-    neither applies to the least. They use only that witness existence is
-    up-closed in each a_i (d << a <= a' gives d << a') and that reach is
-    monotone, so they hold on any relation, reflexive or not.
+    For D the whole algebra it is the first failing entry of
+    _partitions. Two shrink steps each turn a failing multiset into a
+    strictly smaller failing one, by replacing one pair with a strictly
+    smaller pair, so neither applies to the least. They use only that
+    witness existence is up-closed in each a_i (d << a <= a' gives
+    d << a') and that reach is monotone, so they hold on any relation,
+    reflexive or not.
 
       * a shrinks to reach(b): b << reach(b), and if a_i != reach(b_i)
         then reach(b_i) < a_i, so (b_i, reach(b_i)) is smaller and fails.
@@ -146,9 +155,14 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
 
     So the least counterexample pairs the blocks of a partition of the
     atoms into at most k blocks with their reaches, padded with
-    (0, reach(0)) = (0, 0); each such tuple is an outer one. A tuple not
-    below the best failure so far skips its witness call, and the
-    element-level _search_witness cross-checks the one reported.
+    (0, reach(0)) = (0, 0); each such tuple is an outer one. Within one
+    partition the nonzero blocks are distinct, and a pair's reach is a
+    function of its block, so two sorted pair tuples compare as their
+    padded block tuples do, whatever the relation. _partitions lists
+    those in ascending order, so the first entry with no witness is the
+    least failing partition: a false level stops there, and a true level
+    checks every entry. The element-level _search_witness cross-checks
+    the one reported.
     """
     alg = q.ca.algebra
     if n == -1:
@@ -168,9 +182,10 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
 
     if whole:
         bad = None
-        for pairs in _block_pairs(alg.atom_count, k, reach):
-            if (bad is None or pairs < bad) and not witness_exists(a for _, a in pairs):
-                bad = pairs
+        for blocks in _partitions(alg.atom_count, k):
+            if not witness_exists(reach[c] for c in blocks):
+                bad = tuple((c, reach[c]) for c in blocks)
+                break
         if bad and _search_witness(q, reach, full, tuple(a for _, a in bad)):
             raise InternalInconsistencyError(
                 f"dim_leq({n}): the least failing partition has an element-level witness"
@@ -184,27 +199,35 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     return DimVerdict(False, n, a_tuple, b_tuple)
 
 
-def _block_pairs(atom_count: int, k: int, reach) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield the sorted pairs (c_i, reach(c_i)), padded with (0, 0) to k
-    pairs, for every partition c of the atoms into at most k blocks."""
+@lru_cache(maxsize=16)
+def _partitions(atom_count: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition of the atoms into at most k blocks, as its sorted
+    block masks padded with leading 0s to length k, in ascending order.
+
+    The table does not depend on the relation, so it is built once per
+    (atoms, k) and shared by every query. Its length is the sum of the
+    Stirling numbers of the second kind S(atom_count, j) for j <= k:
+    3,845 entries on 8 atoms at k = 5, 86,472 on 10.
+    """
+    table: list[tuple[int, ...]] = []
     blocks: list[int] = []
 
-    def place(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    def place(p: int) -> None:
         if p == atom_count:
-            pad = ((0, 0),) * (k - len(blocks))
-            yield pad + tuple((c, reach[c]) for c in sorted(blocks))
+            table.append((0,) * (k - len(blocks)) + tuple(sorted(blocks)))
             return
         bit = 1 << p
         for j in range(len(blocks)):
             blocks[j] |= bit
-            yield from place(p + 1)
+            place(p + 1)
             blocks[j] ^= bit
         if len(blocks) < k:
             blocks.append(bit)
-            yield from place(p + 1)
+            place(p + 1)
             blocks.pop()
 
-    return place(0)
+    place(0)
+    return tuple(sorted(table))
 
 
 def _atom_witness(ca: ContactAlgebra):
@@ -335,27 +358,28 @@ def _first_counterexample(
 
 
 def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, ...]) -> bool:
-    """Do c_i << d_i << a_i with join(c)=1 and meet(d)=0 exist in D?"""
+    """Do c_i << d_i << a_i with join(c)=1 and meet(d)=0 exist in D?
+
+    The candidate tables depend only on (q, reach, full), so they live on
+    the query under "candidates": for each d, the c's of D way below it
+    with their join, and for each a, the d's of D way below a that have
+    some c. Every search and level of one query shares them.
+    """
     d_masks = q.masks
     k = len(a_multiset)
-
-    c_cands_memo: dict[int, tuple[int, ...]] = {}
-    orc_memo: dict[int, int] = {}
+    c_table, d_table = q._inner_memo.setdefault("candidates", ({}, {}))
 
     def c_cands(d: int) -> tuple[int, ...]:
-        try:
-            return c_cands_memo[d]
-        except KeyError:
-            not_d = full ^ d
-            cs = tuple(c for c in d_masks if reach[c] & not_d == 0)
-            c_cands_memo[d] = cs
-            orc_memo[d] = _or_all(cs)
-            return cs
+        if d not in c_table:
+            cs = tuple(c for c in d_masks if reach[c] & (full ^ d) == 0)
+            c_table[d] = (cs, _or_all(cs))
+        return c_table[d][0]
 
-    slot_cands: list[list[int]] = []
+    slot_cands: list[tuple[int, ...]] = []
     for a in a_multiset:
-        not_a = full ^ a
-        ds = [d for d in d_masks if reach[d] & not_a == 0 and c_cands(d)]
+        ds = d_table.get(a)
+        if ds is None:
+            ds = d_table[a] = tuple(d for d in d_masks if reach[d] & (full ^ a) == 0 and c_cands(d))
         if not ds:
             return False
         slot_cands.append(ds)
@@ -369,7 +393,7 @@ def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, 
         cpot = 0
         for d in slot_cands[i]:
             forced &= d
-            cpot |= orc_memo[d]
+            cpot |= c_table[d][1]
         suffix_forced[i] = suffix_forced[i + 1] & forced
         suffix_cpot[i] = suffix_cpot[i + 1] | cpot
 
@@ -380,7 +404,7 @@ def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, 
             return c_join == full
         if c_join | suffix_cor[slot] != full:
             return False
-        for c in c_cands(d_chosen[slot]):
+        for c in c_table[d_chosen[slot]][0]:
             if pick_c(slot + 1, c_join | c, suffix_cor):
                 return True
         return False
@@ -391,7 +415,7 @@ def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, 
                 return False
             suffix_cor = [0] * (k + 1)
             for j in range(k - 1, -1, -1):
-                suffix_cor[j] = suffix_cor[j + 1] | orc_memo[d_chosen[j]]
+                suffix_cor[j] = suffix_cor[j + 1] | c_table[d_chosen[j]][1]
             return pick_c(0, 0, suffix_cor)
         if d_meet & suffix_forced[slot]:
             return False
@@ -399,7 +423,7 @@ def _search_witness(q: DimensionQuery, reach, full: int, a_multiset: tuple[int, 
             return False
         for d in slot_cands[slot]:
             d_chosen.append(d)
-            if pick_d(slot + 1, d_meet & d, c_pot | orc_memo[d]):
+            if pick_d(slot + 1, d_meet & d, c_pot | c_table[d][1]):
                 d_chosen.pop()
                 return True
             d_chosen.pop()

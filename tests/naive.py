@@ -2,9 +2,10 @@
 
 Everything here trades speed for obviousness: ordered-tuple enumeration,
 no memoization, no pruning beyond the conditions themselves. The real
-engines are checked against these on small fixtures. The one exception,
-naive_first_counterexample, memoizes witnesses per a-multiset and states
-the two facts it uses to stay affordable on four atoms.
+engines are checked against these on small fixtures. The exceptions are
+naive_first_counterexample, which memoizes witnesses per a-multiset and
+states the two facts it uses to stay affordable on four atoms, and
+naive_pool_first_counterexample, which memoizes witnesses the same way.
 """
 
 from itertools import combinations, combinations_with_replacement, product
@@ -135,6 +136,56 @@ def naive_first_counterexample(ca: ContactAlgebra, n: int):
         if join == full and not witness([a for _, a in combo]):
             return tuple(a for _, a in combo), tuple(b for b, _ in combo)
     raise AssertionError("an a-multiset without witness had no covering b's")
+
+
+def naive_pool_first_counterexample(ca: ContactAlgebra, pool_masks, n: int):
+    """The first violation of "dimension at most n" over a pool D, as
+    (a_masks, b_masks), or None when the bound holds.
+
+    Sweeps combinations_with_replacement over the (b, a) pairs of D sorted
+    by mask, the order in which the engine reports. A pool need not be
+    closed under joins, so there is no best b or best c: every b, c and d
+    is drawn from D. Witness verdicts are memoized per a-multiset only.
+    """
+    alg = ca.algebra
+    if n == -1:
+        return None if alg.size == 1 else ((), ())
+    k = n + 2
+    full = alg.full_mask
+    masks = sorted(set(pool_masks))
+
+    def wb(x: int, y: int) -> bool:
+        return naive_way_below(ca, alg.element(x), alg.element(y))
+
+    below = {y: [x for x in masks if wb(x, y)] for y in masks}
+    memo = {}
+
+    def join(xs) -> int:
+        out = 0
+        for x in xs:
+            out |= x
+        return out
+
+    def witness(a_list) -> bool:
+        key = tuple(sorted(a_list))
+        if key not in memo:
+            memo[key] = False
+            for ds in product(*(below[a] for a in key)):
+                meet = full
+                for d in ds:
+                    meet &= d
+                if meet == 0 and any(
+                    join(cs) == full for cs in product(*(below[d] for d in ds))
+                ):
+                    memo[key] = True
+                    break
+        return memo[key]
+
+    pairs = [(b, a) for b in masks for a in masks if wb(b, a)]
+    for combo in combinations_with_replacement(pairs, k):
+        if join(b for b, _ in combo) == full and not witness([a for _, a in combo]):
+            return tuple(a for _, a in combo), tuple(b for b, _ in combo)
+    return None
 
 
 def naive_is_base(L, members) -> bool:

@@ -314,6 +314,20 @@ def test_non_utf8_file_is_refused(tmp_path, capsys):
     assert err.startswith("error: cannot read") and "not UTF-8 text" in err
 
 
+def test_negative_dimension_cap_is_refused(tmp_path, capsys):
+    for argv in (
+        ["dim", algebra_path(tmp_path), "--max-n", "-3"],
+        ["search", "--atoms", "2", "--max-n", "-3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: dimension cap must be at least -1, got -3\n"
+    code, out, err = run(capsys, "dim", algebra_path(tmp_path), "--max-n", "-1")
+    assert code == 0
+    assert out.splitlines() == ["dim_leq(-1) = false", "dim_a = >-1"]
+
+
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     from contactalg import dimension
 

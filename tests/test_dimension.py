@@ -1,3 +1,4 @@
+import random
 import time
 import warnings
 from itertools import combinations_with_replacement
@@ -27,7 +28,7 @@ from contactalg import (
 from contactalg import cli, dimension
 
 from conftest import sample_not_reflexive_symmetric, sampled_contact_algebras
-from naive import naive_dim_leq, naive_first_counterexample
+from naive import naive_dim_leq, naive_first_counterexample, naive_pool_first_counterexample
 
 # the structured sub-universe of the six-cycle: singletons, adjacent
 # pairs, and the four-atom arcs, plus the required bounds
@@ -85,6 +86,23 @@ def test_query_validation(c6):
         DimensionQuery(c6, (alg.zero, alg.one, other.one), 1)
     with pytest.raises(ValidationError):
         dim_leq(query(c6), -2)
+    with pytest.raises(ValidationError):
+        DimensionQuery(c6, (), 1)  # an empty pool
+    for cap in (-2, -7):
+        with pytest.raises(ValidationError):
+            query(c6, None, cap)
+    assert dim_a(query(c6, None, -1)).display == ">-1"
+
+
+def test_unsorted_pool_with_duplicates_matches_its_sorted_form(c6):
+    ordered = arc_query(c6)
+    shuffled = list(ordered.members) * 2
+    random.Random(3).shuffle(shuffled)
+    q = DimensionQuery(c6, tuple(shuffled), 1)
+    assert q.members == ordered.members
+    assert q.masks == ordered.masks
+    for n in (-1, 0, 1):
+        assert verdict_masks(dim_leq(q, n)) == verdict_masks(dim_leq(ordered, n))
 
 
 def test_cycle_full_pool_fails_every_level(c6):
@@ -197,7 +215,7 @@ def test_relative_monotonicity_rejects_zero(c6):
 def test_lca_query_pools(c6):
     L = LocalContactAlgebra(c6, c6.algebra.element(0b000111))
     plain = lca_query(L, 1)
-    assert len(plain.masks) == c6.algebra.size
+    assert plain.masks == tuple(range(c6.algebra.size))
     restricted = lca_query(L, 1, bounded_witnesses=True)
     assert len(restricted.masks) == 8 + 1  # the ideal below {0,1,2} plus 1
 
@@ -256,6 +274,67 @@ def test_verdicts_and_counterexamples_match_oracle_off_reflexive_symmetric():
 def test_verdicts_and_counterexamples_match_oracle_on_five_atom_graphs():
     every_seventh = list(every_algebra([5], reflexive_symmetric=True))[::7]
     assert match_oracle(every_seventh, (0, 1)) == {True, False}
+
+
+def sample_pools(count, seed):
+    """Reflexive relations on 3 and 4 atoms, every other one symmetric,
+    each with a pool of 0, 1, one random element and most of the atoms,
+    coatoms and their reaches, so that pools with no room between a b and
+    its a occur."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k = 3 + i % 2
+        alg = powerset_algebra(k)
+        rows = [1 << p | (rng.randrange(alg.size) & rng.randrange(alg.size)) for p in range(k)]
+        if i % 2:
+            rows = [row | sum(1 << r for r in range(k) if rows[r] >> p & 1) for p, row in enumerate(rows)]
+        s = ContactStructure(alg, rows)
+        reach = s.closure_table()
+        near = {y for p in range(k) for x in (1 << p, alg.full_mask ^ 1 << p) for y in (x, reach[x])}
+        pool = {0, alg.full_mask, rng.randrange(alg.size)} | {x for x in near if rng.random() < 0.7}
+        yield ContactAlgebra(alg, s), sorted(pool)
+
+
+def test_pool_verdicts_and_counterexamples_match_oracle():
+    seen = set()
+    for ca, pool in sample_pools(60, seed=7):
+        # one query for every level, so they share its candidate tables
+        q = DimensionQuery(ca, tuple(ca.algebra.element(m) for m in pool), 2)
+        for n in (0, 1, 2):
+            bad = naive_pool_first_counterexample(ca, pool, n)
+            expected = (True, (), ()) if bad is None else (False, *bad)
+            verdict = verdict_masks(dim_leq(q, n))
+            assert verdict == expected, (ca.contact.rows, pool, n)
+            seen.add(verdict[0])
+    assert seen == {True, False}
+
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)  # OEIS A000110
+
+
+def stirling2(m, j):
+    """Partitions of m atoms into exactly j nonempty blocks."""
+    if m == 0 or j == 0:
+        return int(m == j)
+    return j * stirling2(m - 1, j) + stirling2(m - 1, j - 1)
+
+
+def test_partition_table():
+    assert dimension._partitions.cache_info().maxsize is not None
+    assert len(dimension._partitions(8, 5)) == 3845
+    for m, bell in enumerate(BELL):
+        assert len(dimension._partitions(m, m + 1)) == bell
+        for k in range(1, m + 1):
+            table = dimension._partitions(m, k)
+            assert len(table) == sum(stirling2(m, j) for j in range(k + 1)), (m, k)
+            assert all(x < y for x, y in zip(table, table[1:])), (m, k)
+            for blocks in table:
+                assert len(blocks) == k
+                union = 0
+                for c in blocks:
+                    assert c & union == 0, (m, k, blocks)
+                    union |= c
+                assert union == (1 << m) - 1, (m, k, blocks)
 
 
 # The slowest known graphs for dim --scan --max-n 3 while false levels
