@@ -60,14 +60,6 @@ class FiniteBooleanAlgebra:
             raise ValidationError(f"mask {mask:#x} out of range for {self!r}")
         return Element(self, mask)
 
-    def from_atoms(self, atoms: Iterable[int]) -> "Element":
-        mask = 0
-        for i in atoms:
-            if not 0 <= i < self.atom_count:
-                raise ValidationError(f"atom index {i} out of range for {self!r}")
-            mask |= 1 << i
-        return Element(self, mask)
-
     @property
     def zero(self) -> "Element":
         return Element(self, 0)
@@ -452,12 +444,21 @@ def check_homomorphism(h: BooleanHomomorphism) -> LawReport:
     for a in range(src.size):
         if f[a ^ src.full_mask] != f[a] ^ tgt.full_mask:
             return LawReport(False, "complement", (Element(src, a),))
-    for a in range(src.size):
-        fa = f[a]
-        for b in range(a, src.size):
-            if f[a & b] != fa & f[b]:
-                return LawReport(False, "meet", (Element(src, a), Element(src, b)))
+    bad = _first_meet_failure(f)
+    if bad is not None:
+        return LawReport(False, "meet", tuple(Element(src, m) for m in bad))
     return LawReport(True)
+
+
+def _first_meet_failure(f: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first mask pair a <= b, in increasing order, with
+    f[a & b] != f[a] & f[b], or None when the table preserves meets."""
+    for a in range(len(f)):
+        fa = f[a]
+        for b in range(a, len(f)):
+            if f[a & b] != fa & f[b]:
+                return a, b
+    return None
 
 
 def all_homomorphisms(

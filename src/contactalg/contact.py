@@ -76,12 +76,6 @@ class ContactStructure:
     def __repr__(self) -> str:
         return f"ContactStructure({self.algebra.atom_count} atoms, rows={self.rows})"
 
-    def atom_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        k = self.algebra.atom_count
-        return tuple(
-            tuple(bool(self.rows[p] >> q & 1) for q in range(k)) for p in range(k)
-        )
-
     # -- mask-level queries (hot paths work on raw ints) --
 
     def reach_mask(self, mask: int) -> int:
@@ -130,24 +124,6 @@ class ContactStructure:
         return self.way_below_masks(self._own(a), self._own(b))
 
 
-def from_atom_relation(
-    algebra: FiniteBooleanAlgebra, matrix: Sequence[Sequence[object]]
-) -> ContactStructure:
-    """Build a structure from a square truth matrix over the atoms."""
-    if len(matrix) != algebra.atom_count:
-        raise ValidationError("matrix must be square over the atoms")
-    rows = []
-    for row in matrix:
-        if len(row) != algebra.atom_count:
-            raise ValidationError("matrix must be square over the atoms")
-        m = 0
-        for q, v in enumerate(row):
-            if v:
-                m |= 1 << q
-        rows.append(m)
-    return ContactStructure(algebra, rows)
-
-
 def extremal_relation(algebra: FiniteBooleanAlgebra, which: str) -> ContactStructure:
     """The smallest contact relation (overlap) or the largest one.
 
@@ -175,12 +151,6 @@ class ContactAlgebra:
         if self.contact.algebra is not self.algebra:
             raise MismatchError("contact structure belongs to a different algebra")
 
-    @classmethod
-    def from_matrix(
-        cls, algebra: FiniteBooleanAlgebra, matrix: Sequence[Sequence[object]]
-    ) -> "ContactAlgebra":
-        return cls(algebra, from_atom_relation(algebra, matrix))
-
     def holds(self, a: Element, b: Element) -> bool:
         return self.contact.contact(a, b)
 
@@ -207,14 +177,6 @@ class ContactAlgebra:
     @property
     def is_normal(self) -> bool:
         return self.is_contact and self.passes("C5", "C6")
-
-
-def contact_holds(ca: ContactAlgebra, a: Element, b: Element) -> bool:
-    return ca.holds(a, b)
-
-
-def way_below(ca: ContactAlgebra, a: Element, b: Element) -> bool:
-    return ca.way_below(a, b)
 
 
 @dataclass(frozen=True)
@@ -412,32 +374,72 @@ def check_ca_morphism(
     report = check_homomorphism(h)
     if not report.ok:
         raise ValidationError(f"not a Boolean homomorphism (fails {report.law})")
-    src_reach = source.contact.closure_table()
-    tgt_reach = target.contact.closure_table()
-    f = h.mapping
-    for a in range(source.algebra.size):
-        for b in range(source.algebra.size):
-            src = src_reach[a] & b != 0
-            tgt = tgt_reach[f[a]] & f[b] != 0
-            if mode == "preserves" and src and not tgt:
-                return AxiomReport(False, mode, (Element(source.algebra, a), Element(source.algebra, b)))
-            if mode == "reflects" and tgt and not src:
-                return AxiomReport(False, mode, (Element(source.algebra, a), Element(source.algebra, b)))
-    return AxiomReport(True, mode)
+    preserve_fail, reflect_fail = _transport_failures(h.mapping, source.contact, target.contact)
+    bad = preserve_fail if mode == "preserves" else reflect_fail
+    if bad is None:
+        return AxiomReport(True, mode)
+    return AxiomReport(False, mode, tuple(Element(source.algebra, m) for m in bad))
 
 
 def is_ca_isomorphism(
     h: BooleanHomomorphism, source: ContactAlgebra, target: ContactAlgebra
 ) -> bool:
-    """Bijective homomorphism transporting contact exactly both ways."""
-    if not check_homomorphism(h).ok:
+    """Bijective homomorphism transporting contact both ways, on atoms."""
+    if not check_homomorphism(h).ok or not (h.is_injective() and h.is_surjective()):
         return False
-    if not (h.is_injective() and h.is_surjective()):
-        return False
-    return (
-        check_ca_morphism(h, source, target, "preserves").ok
-        and check_ca_morphism(h, source, target, "reflects").ok
-    )
+    if h.source is not source.algebra or h.target is not target.algebra:
+        raise MismatchError("homomorphism endpoints do not match the algebras")
+    return all(_atom_transport(h.mapping, source.contact, target.contact))
+
+
+def _atom_transport(f, source: ContactStructure, target: ContactStructure) -> tuple[bool, bool]:
+    """Does the homomorphism table f preserve, and does it reflect,
+    contact between source atoms? That decides every pair: f(a) is the
+    join of the f(p) over the atoms p <= a and both relations are
+    additive, so a C b iff p C q, and f(a) C' f(b) iff f(p) C' f(q), for
+    some atoms p <= a and q <= b.
+    """
+    images = [f[1 << p] for p in range(source.algebra.atom_count)]
+    preserves = reflects = True
+    for p, fp in enumerate(images):
+        row, reach = source.rows[p], target.reach_mask(fp)
+        for q, fq in enumerate(images):
+            s, g = row >> q & 1, reach & fq != 0
+            if s and not g:
+                preserves = False
+            if g and not s:
+                reflects = False
+    return preserves, reflects
+
+
+def _transport_failures(
+    f, source: ContactStructure, target: ContactStructure
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    """The first mask pairs (a, b), in increasing order, at which the
+    homomorphism table f fails to preserve and to reflect contact, or
+    None for a law that holds. The sweep runs only when a law fails on
+    atoms, and a failing law with no witness is an internal error.
+    """
+    preserves, reflects = _atom_transport(f, source, target)
+    preserve_fail = reflect_fail = None
+    if not (preserves and reflects):
+        s_reach, t_reach = source.closure_table(), target.closure_table()
+        size = source.algebra.size
+        for a in range(size):
+            ra, fra = s_reach[a], t_reach[f[a]]
+            for b in range(size):
+                s, g = ra & b != 0, fra & f[b] != 0
+                if s and not g and preserve_fail is None:
+                    preserve_fail = (a, b)
+                if g and not s and reflect_fail is None:
+                    reflect_fail = (a, b)
+            if (preserves or preserve_fail) and (reflects or reflect_fail):
+                break
+        else:
+            raise InternalInconsistencyError(
+                "contact transport failed on atoms but the pair sweep found no witness"
+            )
+    return preserve_fail, reflect_fail
 
 
 # -- Canonical small families, used by fixtures, demos and the CLI docs --

@@ -21,14 +21,15 @@ the first counterexample (proof in _decide). Sorted pair tuples
 relation, so one ascending table per (atoms, n+2) serves every query
 (_partitions), and a false level stops at its first failing entry.
 
-A smaller pool D (dim --subset, lca_query(bounded_witnesses=True)) runs
-one ordered sweep over multisets of (b, a) pairs (_first_counterexample),
-sound as the witness conditions never mention b and are symmetric in the
-slots, with the element-level witness search (_search_witness): d-tuple
-first, pruned on the running meet and on the best possible c-join, then
-the c-tuple under join pruning. Witness verdicts are memoized per
-a-multiset, dim_leq verdicts per n, and the witness candidate tables
-once, on the query.
+Only a pool given with dim --subset reaches the ordered sweep over
+multisets of (b, a) pairs (_first_counterexample), sound as the witness
+conditions never mention b and are symmetric in the slots, with the
+element-level witness search (_search_witness) as its test; for the
+whole algebra that search only cross-checks the reported counterexample.
+It picks the d-tuple first, pruned on the running meet and on the best
+possible c-join, then the c-tuple under join pruning. Witness verdicts
+are memoized per a-multiset, dim_leq verdicts per n, and the witness
+candidate tables once, on the query.
 
 tests/naive.py re-implements the definition, with no pruning, and the
 suite compares verdicts and first counterexamples.
@@ -45,7 +46,7 @@ from typing import Sequence
 from .boolean import Element
 from .contact import ContactAlgebra
 from .errors import InternalInconsistencyError, MismatchError, ValidationError
-from .lca import LocalContactAlgebra, relative_lca
+from .lca import LocalContactAlgebra, _interpolated, _minimal_intervals, nca_as_lca, relative_lca
 from .topology import _or_all
 
 
@@ -88,17 +89,13 @@ def query(ca: ContactAlgebra, members: Sequence[Element] | None = None, n_cap: i
     return DimensionQuery(ca, tuple(members), n_cap)
 
 
-def lca_query(L: LocalContactAlgebra, n_cap: int = 3, bounded_witnesses: bool = False) -> DimensionQuery:
-    """Dimension query for a bounded structure.
+def lca_query(L: LocalContactAlgebra, n_cap: int = 3) -> DimensionQuery:
+    """Dimension query for a bounded structure, with D the whole carrier.
 
-    The plain reading takes D to be the whole carrier; the alternative
-    reading (bounded_witnesses=True) restricts D to the bounded elements
-    plus 1. The alternative is experimental and carries no cross-check
-    against anything.
+    D = the bounded elements plus 1 would say nothing for u < 1: b's from
+    it that join to 1 include some b_i = 1, and c_i = d_i = 1 with 0 in
+    every other slot is a witness, so every level n >= 0 holds.
     """
-    if bounded_witnesses:
-        members = L.bounded_elements() + [L.algebra.one]
-        return DimensionQuery(L.ca, tuple(members), n_cap)
     return query(L.ca, None, n_cap)
 
 
@@ -477,25 +474,18 @@ def dim_a(q: DimensionQuery, scan_to_cap: bool = False) -> DimensionResult:
 
 
 def is_way_below_dense(ca: ContactAlgebra, members: Sequence[Element]) -> bool:
-    """Can every a << b be split as a << c << b with c drawn from D?"""
-    alg = ca.algebra
-    full = alg.full_mask
-    reach = ca.contact.closure_table()
+    """Can every a << b be split as a << c << b with c drawn from D?
+
+    Such a split is down-closed in a and up-closed in b, so by the lemma
+    in lca._minimal_intervals (u = 1) only the minimal intervals
+    [a, reach(a)] need one.
+    """
     d_masks = []
     for x in members:
-        if x.algebra is not alg:
+        if x.algebra is not ca.algebra:
             raise MismatchError("D contains an element of a different algebra")
         d_masks.append(x.mask)
-    for a in range(alg.size):
-        ra = reach[a]
-        for b in range(alg.size):
-            if ra & (full ^ b) == 0:
-                if not any(
-                    ra & (full ^ c) == 0 and reach[c] & (full ^ b) == 0
-                    for c in d_masks
-                ):
-                    return False
-    return True
+    return _interpolated(ca.contact.closure_table(), _minimal_intervals(nca_as_lca(ca)), d_masks)
 
 
 def check_dimension_invariance(ca: ContactAlgebra, members: Sequence[Element], n_cap: int = 3) -> bool:

@@ -17,8 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .boolean import BooleanHomomorphism, Element, FiniteBooleanAlgebra, check_homomorphism, powerset_algebra, relative_algebra
-from .contact import AxiomReport, ContactAlgebra, ContactStructure
+from .boolean import (
+    BooleanHomomorphism,
+    Element,
+    FiniteBooleanAlgebra,
+    _first_meet_failure,
+    check_homomorphism,
+    powerset_algebra,
+    relative_algebra,
+)
+from .contact import AxiomReport, ContactAlgebra, ContactStructure, _transport_failures
 from .errors import InternalInconsistencyError, MismatchError, ValidationError
 
 
@@ -219,7 +227,6 @@ def is_dv_dense(L: LocalContactAlgebra, members: Sequence[Element]) -> bool:
     invalid structures only the order form is used.
     """
     alg = L.algebra
-    full = alg.full_mask
     u = L.bounded_top.mask
     d_masks = []
     for d in members:
@@ -228,33 +235,28 @@ def is_dv_dense(L: LocalContactAlgebra, members: Sequence[Element]) -> bool:
         if d.mask & ~u:
             raise ValidationError(f"base member {d!r} is not bounded")
         d_masks.append(d.mask)
-    reach = L.ca.contact.closure_table()
-    bounded = _submasks(u)
-
-    def ll(x: int, y: int) -> bool:
-        return reach[x] & (full ^ y) == 0
-
     order_form = all(
         any(a & ~d == 0 and d & ~c == 0 for d in d_masks)
         for a, c in _minimal_intervals(L)
     )
 
     if L.is_valid():
-        interp_form = True
-        for a in bounded:
-            for c in bounded:
-                if ll(a, c) and not any(
-                    ll(a, d) and ll(d, c) for d in d_masks
-                ):
-                    interp_form = False
-                    break
-            if not interp_form:
-                break
-        if interp_form != order_form:
+        reach = L.ca.contact.closure_table()
+        bounded = _submasks(u)
+        pairs = ((a, c) for a in bounded for c in bounded if reach[a] & ~c == 0)
+        if _interpolated(reach, pairs, d_masks) != order_form:
             raise InternalInconsistencyError(
                 "order form and interpolation form of base-ness disagree on a valid structure"
             )
     return order_form
+
+
+def _interpolated(reach, pairs, d_masks) -> bool:
+    """Does every pair (a, c) of masks have a d in D with a << d << c?"""
+    return all(
+        any(reach[a] & ~d == 0 and reach[d] & ~c == 0 for d in d_masks)
+        for a, c in pairs
+    )
 
 
 # -- morphism tables --
@@ -329,11 +331,9 @@ def check_dhlc_morphism(t: LcaMorphismTable) -> AxiomReport:
 
     if f[0] != 0:
         return AxiomReport(False, "DLC1", (s_alg.zero,))
-    for a in range(s_alg.size):
-        fa = f[a]
-        for b in range(a, s_alg.size):
-            if f[a & b] != fa & f[b]:
-                return AxiomReport(False, "DLC2", (Element(s_alg, a), Element(s_alg, b)))
+    bad = _first_meet_failure(f)
+    if bad is not None:
+        return AxiomReport(False, "DLC2", tuple(Element(s_alg, m) for m in bad))
     s_bounded = _submasks(src.bounded_top.mask)
     for a in s_bounded:
         fa_star_star = t_full ^ f[a ^ s_full]
@@ -383,20 +383,10 @@ def check_lca_embedding(t: LcaMorphismTable) -> EmbeddingReport:
     hom = check_homomorphism(t.as_boolean_homomorphism())
     if not hom.ok:
         raise ValidationError(f"not a Boolean homomorphism: fails {hom.law}")
-    s_reach = src.ca.contact.closure_table()
-    t_reach = tgt.ca.contact.closure_table()
-    preserves = reflects = True
-    witness: tuple[Element, ...] = ()
-    for a in range(src.algebra.size):
-        for b in range(src.algebra.size):
-            s = s_reach[a] & b != 0
-            g = t_reach[f[a]] & f[b] != 0
-            if s and not g:
-                preserves = False
-                witness = witness or (Element(src.algebra, a), Element(src.algebra, b))
-            if g and not s:
-                reflects = False
-                witness = witness or (Element(src.algebra, a), Element(src.algebra, b))
+    fails = _transport_failures(f, src.ca.contact, tgt.ca.contact)
+    preserves, reflects = (bad is None for bad in fails)
+    first = min((bad for bad in fails if bad is not None), default=())
+    witness = tuple(Element(src.algebra, m) for m in first)
     u_s, u_t = src.bounded_top.mask, tgt.bounded_top.mask
     bounded_pres = bounded_refl = True
     for a in range(src.algebra.size):

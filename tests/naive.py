@@ -188,6 +188,45 @@ def naive_pool_first_counterexample(ca: ContactAlgebra, pool_masks, n: int):
     return None
 
 
+def naive_is_way_below_dense(ca: ContactAlgebra, members) -> bool:
+    """Every pair of elements a << b splits as a << d << b with d drawn
+    from the pool."""
+    members = list(members)
+    elements = list(ca.algebra.elements())
+    return all(
+        any(naive_way_below(ca, a, d) and naive_way_below(ca, d, b) for d in members)
+        for a in elements
+        for b in elements
+        if naive_way_below(ca, a, b)
+    )
+
+
+def naive_first_meet_failure(f):
+    """The first mask pair a <= b, in the order of
+    combinations_with_replacement, with f(a & b) != f(a) & f(b)."""
+    for a, b in combinations_with_replacement(range(len(f)), 2):
+        if f[a & b] != f[a] & f[b]:
+            return a, b
+    return None
+
+
+def naive_transport_failures(h, source: ContactAlgebra, target: ContactAlgebra):
+    """The first mask pair (a, b), in increasing order, at which h fails
+    to preserve contact (a C b but not h(a) C' h(b)), and the first at
+    which it fails to reflect it; None for a law that holds."""
+    f, s_contact, t_contact = h.mapping, source.contact, target.contact
+    preserve = reflect = None
+    for a in range(source.algebra.size):
+        for b in range(source.algebra.size):
+            s = s_contact.contact_masks(a, b)
+            g = t_contact.contact_masks(f[a], f[b])
+            if s and not g and preserve is None:
+                preserve = (a, b)
+            if g and not s and reflect is None:
+                reflect = (a, b)
+    return preserve, reflect
+
+
 def naive_is_base(L, members) -> bool:
     """Density of a member set in the bounded part, by the interpolation
     reading: every bounded a << c admits a member d with a <= d <= c."""

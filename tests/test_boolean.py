@@ -5,22 +5,27 @@ from hypothesis import given, strategies as st
 
 from contactalg import (
     BooleanHomomorphism,
+    ContactAlgebra,
     Element,
     FiniteBooleanAlgebra,
+    LcaMorphismTable,
     MismatchError,
     ValidationError,
     all_homomorphisms,
     all_subalgebras,
     boolean_operation,
+    check_dhlc_morphism,
     check_homomorphism,
+    extremal_relation,
     generated_subalgebra,
     is_dense_subset,
     min_dense_cardinality,
+    nca_as_lca,
     powerset_algebra,
     relative_algebra,
 )
 
-from naive import naive_min_dense
+from naive import naive_first_meet_failure, naive_min_dense
 
 ALG4 = powerset_algebra(4)
 
@@ -162,6 +167,36 @@ def test_homomorphism_checks(b3):
     report = check_homomorphism(bad)
     assert not report.ok
     assert report.law == "one"
+
+
+def test_meet_law_witnesses_match_oracle(b3):
+    # check_homomorphism on every table of b3 that keeps 0, 1 and
+    # complements, so only the meet law can fail, and DLC2 on every
+    # table of b2 with f(0) = 0
+    failures = []
+    for images in itertools.product(range(8), repeat=3):
+        f = [0, *images, 0, 0, 0, 7]
+        for a in (1, 2, 3):
+            f[7 ^ a] = 7 ^ f[a]
+        report = check_homomorphism(BooleanHomomorphism(b3, b3, tuple(f)))
+        bad = naive_first_meet_failure(f)
+        assert (report.law, tuple(x.mask for x in report.witness)) == (
+            ("meet", bad) if bad else (None, ())
+        ), f
+        failures.append(bad)
+    b2 = powerset_algebra(2)
+    L = nca_as_lca(ContactAlgebra(b2, extremal_relation(b2, "smallest")))
+    for images in itertools.product(range(4), repeat=3):
+        f = (0, *images)
+        report = check_dhlc_morphism(LcaMorphismTable(L, L, f))
+        bad = naive_first_meet_failure(f)
+        if bad:
+            assert (report.axiom, tuple(x.mask for x in report.witness)) == ("DLC2", bad), f
+        else:
+            assert report.axiom != "DLC2", f
+        failures.append(bad)
+    assert None in failures
+    assert any(bad and bad[1] == 3 for bad in failures[512:])  # b = 1 on two atoms
 
 
 def test_all_homomorphisms_count():

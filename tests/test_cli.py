@@ -315,9 +315,11 @@ def test_non_utf8_file_is_refused(tmp_path, capsys):
 
 
 def test_negative_dimension_cap_is_refused(tmp_path, capsys):
+    space = algebra_path(tmp_path, SIERPINSKI_TEXT, "s.space")
     for argv in (
         ["dim", algebra_path(tmp_path), "--max-n", "-3"],
         ["search", "--atoms", "2", "--max-n", "-3"],
+        ["space", "dim", space, "--max-n", "-3"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -326,6 +328,8 @@ def test_negative_dimension_cap_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "dim", algebra_path(tmp_path), "--max-n", "-1")
     assert code == 0
     assert out.splitlines() == ["dim_leq(-1) = false", "dim_a = >-1"]
+    code, out, err = run(capsys, "space", "dim", space, "--max-n", "-1")
+    assert (code, out) == (0, "dim_CL = >-1\n")
 
 
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):

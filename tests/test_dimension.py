@@ -28,7 +28,12 @@ from contactalg import (
 from contactalg import cli, dimension
 
 from conftest import sample_not_reflexive_symmetric, sampled_contact_algebras
-from naive import naive_dim_leq, naive_first_counterexample, naive_pool_first_counterexample
+from naive import (
+    naive_dim_leq,
+    naive_first_counterexample,
+    naive_is_way_below_dense,
+    naive_pool_first_counterexample,
+)
 
 # the structured sub-universe of the six-cycle: singletons, adjacent
 # pairs, and the four-atom arcs, plus the required bounds
@@ -216,8 +221,59 @@ def test_lca_query_pools(c6):
     L = LocalContactAlgebra(c6, c6.algebra.element(0b000111))
     plain = lca_query(L, 1)
     assert plain.masks == tuple(range(c6.algebra.size))
-    restricted = lca_query(L, 1, bounded_witnesses=True)
-    assert len(restricted.masks) == 8 + 1  # the ideal below {0,1,2} plus 1
+
+
+def test_bounded_pool_holds_at_every_level():
+    # D = the bounded elements plus 1, for u < 1: b's from D that join to
+    # 1 include b_i = 1, and c_i = d_i = 1 with 0 elsewhere is a witness
+    pairs = 0
+    for ca in every_algebra(range(1, 4), False):
+        for u in range(ca.algebra.full_mask):
+            L = LocalContactAlgebra(ca, ca.algebra.element(u))
+            q = DimensionQuery(ca, tuple(L.bounded_elements() + [ca.algebra.one]), 1)
+            result = dim_a(q, scan_to_cap=True)
+            assert result.verdicts == ((-1, False), (0, True), (1, True)), (ca.contact.rows, u)
+            pairs += 1
+    assert pairs == 3_634
+
+
+def test_way_below_density_matches_oracle_on_every_small_relation():
+    # every relation on at most 3 atoms; every pool on at most 2 atoms,
+    # and every 7th pool on 3 atoms
+    verdicts = set()
+    for ca in every_algebra(range(4), False):
+        elements = list(ca.algebra.elements())
+        step = 7 if len(elements) == 8 else 1
+        for bits in range(0, 1 << len(elements), step):
+            pool = [x for x in elements if bits >> x.mask & 1]
+            verdict = is_way_below_dense(ca, pool)
+            assert verdict == naive_is_way_below_dense(ca, pool), (ca.contact.rows, bits)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_way_below_density_matches_oracle_on_seeded_pools():
+    # random graphs, and equivalence relations, where a pool holding every
+    # reach value is dense; pools keep each reach value with chance 0.9
+    # and each other element with chance 0.3, so both verdicts occur
+    rng = random.Random(16)
+    verdicts = []
+    for k in (4, 5):
+        alg = powerset_algebra(k)
+        cases = sampled_contact_algebras(k, 10, seed=16)
+        for _ in range(10):
+            label = [rng.randrange(3) for _ in range(k)]
+            rows = [sum(1 << q for q in range(k) if label[q] == label[p]) for p in range(k)]
+            cases.append(ContactAlgebra(alg, ContactStructure(alg, rows)))
+        for ca in cases:
+            reach = set(ca.contact.closure_table())
+            elements = list(ca.algebra.elements())
+            for _ in range(3):
+                pool = [x for x in elements if rng.random() < (0.9 if x.mask in reach else 0.3)]
+                verdict = is_way_below_dense(ca, pool)
+                assert verdict == naive_is_way_below_dense(ca, pool), (ca.contact.rows, pool)
+                verdicts.append(verdict)
+    assert (verdicts.count(True), len(verdicts)) == (37, 120)
 
 
 def verdict_masks(v):

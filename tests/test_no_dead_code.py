@@ -1,0 +1,59 @@
+"""Every top-level function and class of the package, and every method
+that is not a dunder, is referenced somewhere in src/, tests/, demos/ or
+bench/ outside its own definition.
+
+References are read from the syntax trees of the Python files (names,
+attributes, imported names, and strings that are identifiers, such as a
+monkeypatch target) and as words from the shell scripts, so a mention in
+a docstring or a comment does not keep a definition alive.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "contactalg"
+SEARCHED = ("src", "tests", "demos", "bench")
+
+
+def references(tree: ast.AST) -> Counter:
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def definitions(tree: ast.Module):
+    """The top-level functions and classes, and the non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield member
+
+
+def test_every_definition_is_referenced():
+    total: Counter = Counter()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            total += references(ast.parse(path.read_text(), str(path)))
+        for path in sorted((ROOT / top).rglob("*.sh")):
+            total.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in definitions(ast.parse(path.read_text(), str(path))):
+            # a reference inside the definition itself (recursion) does not count
+            if total[node.name] - references(node)[node.name] <= 0:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, "referenced nowhere else: " + ", ".join(dead)
