@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .errors import MismatchError, ValidationError
@@ -299,29 +300,22 @@ class Subalgebra:
 def generated_subalgebra(
     algebra: FiniteBooleanAlgebra, generators: Iterable[Element]
 ) -> Subalgebra:
-    """Closure of the generators under meet and complement (join follows)."""
-    masks = {0, algebra.full_mask}
+    """The least subalgebra holding the generators.
+
+    Its atoms are the nonzero meets that take each generator or its
+    complement, so two atoms share a block iff every generator holds both
+    or neither, and the members are the unions of those blocks.
+    """
+    masks = []
     for g in generators:
         if g.algebra is not algebra:
             raise MismatchError("generator from a different algebra")
-        masks.add(g.mask)
-    changed = True
-    while changed:
-        changed = False
-        current = list(masks)
-        for m in current:
-            c = m ^ algebra.full_mask
-            if c not in masks:
-                masks.add(c)
-                changed = True
-        current = list(masks)
-        for m in current:
-            for n in current:
-                mn = m & n
-                if mn not in masks:
-                    masks.add(mn)
-                    changed = True
-    return Subalgebra(algebra, frozenset(Element(algebra, m) for m in masks))
+        masks.append(g.mask)
+    blocks: dict[tuple[int, ...], int] = {}
+    for p in range(algebra.atom_count):
+        key = tuple(m >> p & 1 for m in masks)
+        blocks[key] = blocks.get(key, 0) | 1 << p
+    return Subalgebra(algebra, frozenset(Element(algebra, m) for m in _unions(blocks.values())))
 
 
 def all_subalgebras(algebra: FiniteBooleanAlgebra) -> Iterator[Subalgebra]:
@@ -330,34 +324,10 @@ def all_subalgebras(algebra: FiniteBooleanAlgebra) -> Iterator[Subalgebra]:
     Subalgebras of a finite power set are exactly the unions-of-blocks
     algebras of atom partitions, so this enumeration is complete.
     """
-    for blocks in _set_partitions(list(range(algebra.atom_count))):
-        block_masks = []
-        for block in blocks:
-            m = 0
-            for i in block:
-                m |= 1 << i
-            block_masks.append(m)
-        members = set()
-        for r in range(len(block_masks) + 1):
-            for combo in itertools.combinations(block_masks, r):
-                u = 0
-                for m in combo:
-                    u |= m
-                members.add(u)
-        yield Subalgebra(
-            algebra, frozenset(Element(algebra, m) for m in members)
-        )
-
-
-def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partial in _set_partitions(rest):
-        for i in range(len(partial)):
-            yield partial[:i] + [[first] + partial[i]] + partial[i + 1 :]
-        yield [[first]] + partial
+    k = algebra.atom_count
+    for blocks in _partitions(k, k):
+        members = _unions(b for b in blocks if b)
+        yield Subalgebra(algebra, frozenset(Element(algebra, m) for m in members))
 
 
 @dataclass(frozen=True)
@@ -471,3 +441,68 @@ def all_homomorphisms(
         range(source.atom_count), repeat=target.atom_count
     ):
         yield BooleanHomomorphism.from_atom_map(source, target, atom_map)
+
+
+# -- mask helpers shared by every layer --
+
+
+def _or_all(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _and_all(masks) -> int:
+    out = -1
+    for m in masks:
+        out &= m
+    return out
+
+
+def _unions(masks) -> list[int]:
+    """Every union of the given masks, the empty one included, each once
+    and in order of first appearance. For disjoint nonzero masks the
+    unions are distinct, so out[m] is the union of the masks picked by
+    the bits of m."""
+    out = [0]
+    seen = {0}
+    for m in masks:
+        for u in out[:]:
+            u |= m
+            if u not in seen:
+                seen.add(u)
+                out.append(u)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _partitions(atom_count: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition of the atoms into at most k blocks, as its sorted
+    block masks padded with leading 0s to length k, in ascending order.
+
+    The table does not depend on any relation, so it is built once per
+    (atoms, k) and shared by every dimension query and all_subalgebras.
+    Its length is the sum of the Stirling numbers of the second kind
+    S(atom_count, j) for j <= k: 3,845 entries on 8 atoms at k = 5,
+    86,472 on 10.
+    """
+    table: list[tuple[int, ...]] = []
+    blocks: list[int] = []
+
+    def place(p: int) -> None:
+        if p == atom_count:
+            table.append((0,) * (k - len(blocks)) + tuple(sorted(blocks)))
+            return
+        bit = 1 << p
+        for j in range(len(blocks)):
+            blocks[j] |= bit
+            place(p + 1)
+            blocks[j] ^= bit
+        if len(blocks) < k:
+            blocks.append(bit)
+            place(p + 1)
+            blocks.pop()
+
+    place(0)
+    return tuple(sorted(table))

@@ -446,20 +446,16 @@ def _transport_failures(
 
 
 def adjacency_contact(
-    algebra: FiniteBooleanAlgebra,
-    edges: Iterable[tuple[int, int]],
-    reflexive: bool = True,
-    symmetric: bool = True,
+    algebra: FiniteBooleanAlgebra, edges: Iterable[tuple[int, int]]
 ) -> ContactStructure:
-    """Structure from an undirected-ish edge list over the atoms."""
+    """The reflexive symmetric structure with the given edges between atoms."""
     k = algebra.atom_count
-    rows = [(1 << p) if reflexive else 0 for p in range(k)]
+    rows = [1 << p for p in range(k)]
     for i, j in edges:
         if not (0 <= i < k and 0 <= j < k):
             raise ValidationError(f"edge ({i},{j}) out of range")
         rows[i] |= 1 << j
-        if symmetric:
-            rows[j] |= 1 << i
+        rows[j] |= 1 << i
     return ContactStructure(algebra, rows)
 
 

@@ -40,14 +40,13 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
-from .boolean import Element
+from .boolean import Element, _or_all, _partitions
 from .contact import ContactAlgebra
 from .errors import InternalInconsistencyError, MismatchError, ValidationError
 from .lca import LocalContactAlgebra, _interpolated, _minimal_intervals, nca_as_lca, relative_lca
-from .topology import _or_all
 
 
 @dataclass(frozen=True)
@@ -194,37 +193,6 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     a_tuple = tuple(Element(alg, a) for _, a in bad)
     b_tuple = tuple(Element(alg, b) for b, _ in bad)
     return DimVerdict(False, n, a_tuple, b_tuple)
-
-
-@lru_cache(maxsize=16)
-def _partitions(atom_count: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Every partition of the atoms into at most k blocks, as its sorted
-    block masks padded with leading 0s to length k, in ascending order.
-
-    The table does not depend on the relation, so it is built once per
-    (atoms, k) and shared by every query. Its length is the sum of the
-    Stirling numbers of the second kind S(atom_count, j) for j <= k:
-    3,845 entries on 8 atoms at k = 5, 86,472 on 10.
-    """
-    table: list[tuple[int, ...]] = []
-    blocks: list[int] = []
-
-    def place(p: int) -> None:
-        if p == atom_count:
-            table.append((0,) * (k - len(blocks)) + tuple(sorted(blocks)))
-            return
-        bit = 1 << p
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            place(p + 1)
-            blocks[j] ^= bit
-        if len(blocks) < k:
-            blocks.append(bit)
-            place(p + 1)
-            blocks.pop()
-
-    place(0)
-    return tuple(sorted(table))
 
 
 def _atom_witness(ca: ContactAlgebra):

@@ -2,13 +2,12 @@
 
 A finite topology is a preorder: p <= q when q lies in every open set
 containing p, and the opens are the up-sets (Alexandroff 1937). So
-FiniteSpace keeps the minimal neighbourhood U_p of each point next to
-the open family, and everything else is computed from those n masks:
-closures and interiors, the regular closed and regular open algebras
-from the minimal U_p (built once per space and kept on it), covering
-dimension from the single cover {U_p}, weight, pi-weight,
-semiregularity, the contravariant regular-closed functor on continuous
-maps, and baby Stone duality. None of it consults the algebraic search
+FiniteSpace keeps only the minimal neighbourhood U_p of each point, and
+everything is computed from those n masks: continuity, closures and
+interiors, the regular closed and regular open algebras from the minimal
+U_p (built once per space and kept on it), covering dimension from the
+single cover {U_p}, weight, pi-weight, semiregularity, the contravariant
+regular-closed functor on continuous maps, and baby Stone duality. None of it consults the algebraic search
 code, which is the point: the test suite plays the two sides against
 each other, and tests/naive.py keeps the definitional sweeps over the
 open family as oracles.
@@ -24,7 +23,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .boolean import BooleanHomomorphism, Element, FiniteBooleanAlgebra, powerset_algebra
+from .boolean import (
+    BooleanHomomorphism,
+    Element,
+    FiniteBooleanAlgebra,
+    _and_all,
+    _or_all,
+    _unions,
+    powerset_algebra,
+)
 from .contact import ContactAlgebra, ContactStructure, is_ca_isomorphism, is_connected
 from .errors import InternalInconsistencyError, MismatchError, ValidationError
 from .lca import LcaMorphismTable, LocalContactAlgebra, check_dhlc_morphism
@@ -33,15 +40,16 @@ DEFAULT_MAX_POINTS = 5
 
 
 class FiniteSpace:
-    """A finite topological space: point count plus the full open family.
+    """A finite topological space, stored as its specialisation preorder.
 
-    The family must contain the empty set and the whole space and be
-    closed under union and intersection; anything else is rejected. The
-    explicit-family representation keeps non-T0 and non-semiregular
-    spaces representable.
+    FiniteSpace(n, opens) validates the open family: it must hold the
+    empty set and the whole space and be closed under union and
+    intersection. Only neighborhoods[p] = U_p, the intersection of the
+    members containing p, is kept; the opens are the unions of the U_p,
+    so two families are equal iff their U_p are. Preorders cover the
+    non-T0 and non-semiregular spaces as well.
 
-    neighborhoods[p] is U_p, the intersection of the members containing
-    p. Each member u contains U_p for every p in u, so u is the union of
+    Each member u contains U_p for every p in u, so u is the union of
     those U_p. A topology holds each U_p and all their unions, so it is
     closed under u -> u | U_p. Conversely, a family holding the empty
     set and closed under that step holds each U_p and every union of
@@ -51,12 +59,12 @@ class FiniteSpace:
     point) instead of one per pair of members.
     """
 
-    __slots__ = ("point_count", "full_mask", "opens", "neighborhoods", "_rc")
+    __slots__ = ("point_count", "full_mask", "neighborhoods", "_rc")
 
-    def __init__(self, point_count: int, opens: Iterable[int], max_points: int = DEFAULT_MAX_POINTS):
-        if not 0 <= point_count <= max_points:
+    def __init__(self, point_count: int, opens: Iterable[int]):
+        if not 0 <= point_count <= DEFAULT_MAX_POINTS:
             raise ValidationError(
-                f"point count must lie in [0, {max_points}] (open families grow exponentially)"
+                f"point count must lie in [0, {DEFAULT_MAX_POINTS}] (open families grow exponentially)"
             )
         self.point_count = point_count
         self.full_mask = (1 << point_count) - 1
@@ -71,20 +79,24 @@ class FiniteSpace:
             for up in ups:
                 if u | up not in fam:
                     raise ValidationError("opens not closed under union/intersection")
-        self.opens = fam
         self.neighborhoods = tuple(ups)
         self._rc = None  # the RcAlgebra, once rc_algebra has built it
 
+    @property
+    def opens(self) -> frozenset[int]:
+        """The open family, built afresh from the U_p on each call."""
+        return frozenset(_unions(self.neighborhoods))
+
     def __repr__(self) -> str:
-        return f"FiniteSpace({self.point_count} points, {len(self.opens)} opens)"
+        return f"FiniteSpace({self.point_count} points, neighborhoods={self.neighborhoods})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return self.point_count == other.point_count and self.opens == other.opens
+        return self.neighborhoods == other.neighborhoods
 
     def __hash__(self) -> int:
-        return hash((self.point_count, self.opens))
+        return hash(self.neighborhoods)
 
     def mask(self, points: Iterable[int]) -> int:
         m = 0
@@ -97,12 +109,9 @@ class FiniteSpace:
     def points(self, mask: int) -> frozenset[int]:
         return frozenset(p for p in range(self.point_count) if mask >> p & 1)
 
-    def open_masks(self) -> list[int]:
-        return sorted(self.opens)
-
     @property
     def is_discrete(self) -> bool:
-        return len(self.opens) == 1 << self.point_count
+        return all(up == 1 << p for p, up in enumerate(self.neighborhoods))
 
     def minimal_neighborhood(self, point: int) -> int:
         """Smallest open set containing the point."""
@@ -157,16 +166,23 @@ def particular_point_space(n: int) -> FiniteSpace:
 
 
 def generate_topology(n: int, subbase: Iterable[int]) -> FiniteSpace:
-    """Close a subbase under intersections then unions."""
+    """The coarsest topology holding the subbase. U_p is the meet of the
+    members holding p, the whole space when none does: each finite meet
+    m of members is the union of the U_p for p in m."""
     full = (1 << n) - 1
-    meets = {full}
-    for s in subbase:
-        meets |= {m & s for m in meets}
-    return FiniteSpace(n, _unions(meets))
+    subbase = list(subbase)
+    ups = [full & _and_all(s for s in subbase if s >> p & 1) for p in range(n)]
+    return FiniteSpace(n, _unions(ups))
 
 
 class ContinuousMap:
-    """A point map whose preimages of opens are open (checked)."""
+    """A point map whose preimages of opens are open (checked).
+
+    Preimages commute with unions and every open is a union of U_q, so
+    it is enough that each f^-1(U_q) is open. If some open u has a
+    non-open preimage, so has some U_q inside u, and U_q <= u as masks:
+    the least failing U_q, which is reported, is the least failing open.
+    """
 
     __slots__ = ("source", "target", "point_map")
 
@@ -180,8 +196,9 @@ class ContinuousMap:
         self.source = source
         self.target = target
         self.point_map = point_map
-        for u in target.opens:
-            if self.preimage(u) not in source.opens:
+        for u in sorted(target.neighborhoods):
+            pre = self.preimage(u)
+            if interior(source, pre) != pre:
                 raise ValidationError(
                     f"not continuous: preimage of {sorted(target.points(u))} is not open"
                 )
@@ -211,14 +228,6 @@ class ContinuousMap:
 def _atoms_of_family(sets) -> list[int]:
     """Minimal nonzero members under inclusion."""
     return sorted(s for s in sets if s and not any(t and t != s and t & ~s == 0 for t in sets))
-
-
-def _unions_in_order(atoms: list[int]) -> list[int]:
-    """unions[m] is the union of the atoms whose bits are set in m."""
-    unions = [0]
-    for a in atoms:
-        unions += [u | a for u in unions]
-    return unions
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +295,7 @@ def _build_rc_algebra(X: FiniteSpace) -> RcAlgebra:
     k = len(atoms)
     alg = powerset_algebra(k)
     from_set = {}
-    for m, s in enumerate(_unions_in_order(atoms)):
+    for m, s in enumerate(_unions(atoms)):
         if closure(X, interior(X, s)) != s:
             raise InternalInconsistencyError("a union of regular closed atoms is not regular closed")
         from_set[s] = Element(alg, m)
@@ -295,13 +304,6 @@ def _build_rc_algebra(X: FiniteSpace) -> RcAlgebra:
     rows = [_or_all(1 << q for q, b in enumerate(atoms) if a & b) for a in atoms]
     lca = LocalContactAlgebra(ContactAlgebra(alg, ContactStructure(alg, rows)), alg.one)
     return RcAlgebra(X, lca, tuple(atoms), from_set)
-
-
-def _or_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +357,7 @@ def ro_algebra(X: FiniteSpace) -> RoAlgebra:
 
     from_set = {}
     mapping = []
-    for m, union in enumerate(_unions_in_order(atoms)):
+    for m, union in enumerate(_unions(atoms)):
         ro_set = interior(X, closure(X, union))
         from_set[ro_set] = Element(alg, m)
         mapping.append(rc.from_set(closure(X, ro_set)).mask)
@@ -474,26 +476,15 @@ def _indexed(F: SetFamily, G: SetFamily) -> CoverReport:
     return cover_predicates(F, G)
 
 
-def _and_all(masks) -> int:
-    out = -1
-    for m in masks:
-        out &= m
-    return out
+def _has_refinement_of_order(full: int, candidates: list[int], n: int) -> bool:
+    """Is there an open cover of the space (points in full) with order
+    <= n, drawn from the given distinct nonempty opens?
 
-
-def _has_refinement_of_order(X: FiniteSpace, cover: tuple[int, ...], n: int) -> bool:
-    """Is there an open cover refining the given one with order <= n?
-
-    The search covers the lowest uncovered point at each step, with
-    distinct nonempty opens that lie inside some member of the cover.
+    The search covers the lowest uncovered point at each step.
     layers[j] holds the points already in more than j chosen members, so
     an open is admissible while it misses layers[n], and choosing it
     raises each of its points one layer.
     """
-    candidates = sorted(
-        {u for u in X.opens if u and any(u & ~c == 0 for c in cover)}
-    )
-    full = X.full_mask
 
     def extend(covered: int, layers: tuple[int, ...]) -> bool:
         if covered == full:
@@ -531,9 +522,10 @@ def dim_cl(X: FiniteSpace, n_cap: int = 3) -> int | None:
         raise ValidationError(f"dimension cap must be at least -1, got {n_cap}")
     if X.point_count == 0:
         return -1
-    cover = tuple(sorted(set(X.neighborhoods)))
+    cover = set(X.neighborhoods)
+    candidates = sorted(u for u in X.opens if u and any(u & ~c == 0 for c in cover))
     for n in range(0, n_cap + 1):
-        if _has_refinement_of_order(X, cover, n):
+        if _has_refinement_of_order(X.full_mask, candidates, n):
             return n
     return None
 
@@ -610,18 +602,12 @@ def weight_of_space(X: FiniteSpace) -> int:
 
     The minimal neighborhood of each point belongs to every base (it
     must be a union of base members, one of which contains the point and
-    hence equals it), and those neighborhoods already form a base, so
-    the forced set is the minimum. The suite checks this against a blind
-    subset search on small spaces.
+    hence equals it), and those neighborhoods already form a base (each
+    open is the union of the U_p of its points), so the forced set is the
+    minimum. The suite checks this against a blind subset search on
+    small spaces.
     """
-    forced = set(X.neighborhoods)
-    for u in X.opens:
-        gen = _or_all(b for b in forced if b & ~u == 0)
-        if gen != u:
-            raise InternalInconsistencyError(
-                "minimal neighborhoods failed to generate an open set"
-            )
-    return len(forced)
+    return len(set(X.neighborhoods))
 
 
 def pi_weight_of_space(X: FiniteSpace) -> int:
@@ -633,13 +619,7 @@ def pi_weight_of_space(X: FiniteSpace) -> int:
     nonzero open v inside it contains some U_q. So the minimal nonzero
     opens are the minimal members of {U_p}.
     """
-    minimal = _atoms_of_family(set(X.neighborhoods))
-    for u in X.opens:
-        if u and not any(v & ~u == 0 for v in minimal):
-            raise InternalInconsistencyError(
-                "minimal opens missed a nonempty open from above"
-            )
-    return len(minimal)
+    return len(_atoms_of_family(set(X.neighborhoods)))
 
 
 def is_semiregular(X: FiniteSpace) -> bool:
@@ -718,7 +698,8 @@ def stone_dual(B: FiniteBooleanAlgebra) -> FiniteSpace:
 
 
 def clopen_sets(X: FiniteSpace) -> list[int]:
-    return sorted(u for u in X.opens if (X.full_mask ^ u) in X.opens)
+    opens = X.opens
+    return sorted(u for u in opens if (X.full_mask ^ u) in opens)
 
 
 def co_algebra(X: FiniteSpace) -> FiniteBooleanAlgebra:
@@ -760,7 +741,7 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
         bit = 1 << m
         grown = []
         for ups in orders:
-            opens = _unions(ups)
+            opens = sorted(_unions(ups))
             for down in (u ^ (bit - 1) for u in opens):
                 below = _and_all(ups[p] for p in range(m) if down >> p & 1)
                 for up in opens:
@@ -772,11 +753,3 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
         orders = grown
     for ups in orders:
         yield FiniteSpace(n, _unions(ups))
-
-
-def _unions(masks) -> set[int]:
-    """Every union of the given masks, the empty one included."""
-    out = {0}
-    for m in masks:
-        out |= {f | m for f in out}
-    return out

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .boolean import (
     Element,
     Subalgebra,
+    _unions,
     is_dense_subset,
     min_dense_cardinality,
 )
@@ -295,9 +296,7 @@ def minimal_base_within(L: LocalContactAlgebra, members) -> WeightResult:
     """
     if not is_dv_dense(L, members):
         raise ValidationError("the given set is not a base")
-    closure = {0}
-    for x in members:
-        closure |= {c | x.mask for c in closure}
+    closure = set(_unions(x.mask for x in members))
     member_masks = {x.mask for x in members}
     join_closed = closure <= member_masks | {0}
 

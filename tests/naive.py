@@ -8,6 +8,7 @@ states the two facts it uses to stay affordable on four atoms, and
 naive_pool_first_counterexample, which memoizes witnesses the same way.
 """
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 
 from contactalg import AxiomReport, BaseSearchState, ContactAlgebra, Element, ValidationError
@@ -208,6 +209,27 @@ def naive_first_meet_failure(f):
         if f[a & b] != f[a] & f[b]:
             return a, b
     return None
+
+
+def naive_generated_subalgebra(full: int, generators) -> set[int]:
+    """The masks of the subalgebra generated inside the power set with
+    top full: close 0, full and the generators under complement and
+    meet until nothing changes."""
+    masks = {0, full} | set(generators)
+    changed = True
+    while changed:
+        changed = False
+        for m in list(masks):
+            if m ^ full not in masks:
+                masks.add(m ^ full)
+                changed = True
+        current = list(masks)
+        for m in current:
+            for n in current:
+                if m & n not in masks:
+                    masks.add(m & n)
+                    changed = True
+    return masks
 
 
 def naive_transport_failures(h, source: ContactAlgebra, target: ContactAlgebra):
@@ -539,11 +561,18 @@ def naive_check_lca_axiom(L, name: str) -> AxiomReport:
     return AxiomReport(True, name)
 
 
+@cache
+def _opens(X) -> tuple[int, ...]:
+    """The open family of X in increasing order, built once per topology:
+    FiniteSpace.opens rebuilds it from the U_p on every read."""
+    return tuple(sorted(X.opens))
+
+
 def _has_refinement_of_order(X, cover, n: int) -> bool:
     """Is there an open cover refining the given one with order <= n?
     Point-by-point search with a count per point."""
     candidates = sorted(
-        {u for u in X.opens if u and any(u & ~c == 0 for c in cover)}
+        {u for u in _opens(X) if u and any(u & ~c == 0 for c in cover)}
     )
     limit = n + 1
     counts = [0] * X.point_count
@@ -573,7 +602,7 @@ def naive_dim_cl(X, n_cap: int = 3):
     by distinct nonempty opens, not only the irredundant ones."""
     if X.point_count == 0:
         return -1
-    opens = [u for u in X.open_masks() if u]
+    opens = [u for u in _opens(X) if u]
     covers = []
     for r in range(len(opens) + 1):
         for combo in combinations(opens, r):
@@ -590,38 +619,40 @@ def naive_dim_cl(X, n_cap: int = 3):
 
 def naive_interior(X, mask: int) -> int:
     """Union of the opens inside the set."""
+    return _interior(_opens(X), mask)
+
+
+def naive_closure(X, mask: int) -> int:
+    """Complement of the union of the opens missing the set."""
+    return _closure(_opens(X), X.full_mask, mask)
+
+
+def _interior(opens, mask: int) -> int:
     out = 0
-    for u in X.opens:
+    for u in opens:
         if u & ~mask == 0:
             out |= u
     return out
 
 
-def naive_closure(X, mask: int) -> int:
-    """Complement of the union of the opens missing the set."""
+def _closure(opens, full: int, mask: int) -> int:
     avoid = 0
-    for u in X.opens:
+    for u in opens:
         if u & mask == 0:
             avoid |= u
-    return X.full_mask ^ avoid
+    return full ^ avoid
 
 
 def naive_regular_closed(X) -> list[int]:
     """Every subset F with cl(int F) = F, in increasing order."""
-    return [
-        s
-        for s in range(X.full_mask + 1)
-        if naive_closure(X, naive_interior(X, s)) == s
-    ]
+    opens, full = _opens(X), X.full_mask
+    return [s for s in range(full + 1) if _closure(opens, full, _interior(opens, s)) == s]
 
 
 def naive_regular_open(X) -> list[int]:
     """Every subset V with int(cl V) = V, in increasing order."""
-    return [
-        s
-        for s in range(X.full_mask + 1)
-        if naive_interior(X, naive_closure(X, s)) == s
-    ]
+    opens, full = _opens(X), X.full_mask
+    return [s for s in range(full + 1) if _interior(opens, _closure(opens, full, s)) == s]
 
 
 def naive_regular_families(X) -> tuple[list[int], list[int]]:
@@ -633,12 +664,13 @@ def naive_regular_families(X) -> tuple[list[int], list[int]]:
     int(cl(u)) for u open. So one pass over the opens finds both
     families, instead of testing all 2^n subsets.
     """
+    opens = _opens(X)
     rc = set()
     ro = set()
-    for u in X.opens:
-        c = naive_closure(X, u)
+    for u in opens:
+        c = _closure(opens, X.full_mask, u)
         rc.add(c)
-        ro.add(naive_interior(X, c))
+        ro.add(_interior(opens, c))
     return sorted(rc), sorted(ro)
 
 
@@ -650,7 +682,7 @@ def naive_atoms(sets) -> list[int]:
 def naive_is_semiregular(X) -> bool:
     """Every open is the union of the regular open sets inside it."""
     ro = naive_regular_open(X)
-    for u in X.opens:
+    for u in _opens(X):
         join = 0
         for v in ro:
             if v & ~u == 0:
@@ -663,15 +695,16 @@ def naive_is_semiregular(X) -> bool:
 def naive_is_pi_semiregular(X) -> bool:
     """Every nonempty open contains a nonempty regular open set."""
     ro = naive_regular_open(X)
-    return all(any(v and v & ~u == 0 for v in ro) for u in X.opens if u)
+    return all(any(v and v & ~u == 0 for v in ro) for u in _opens(X) if u)
 
 
 def naive_pi_weight_of_space(X) -> int:
     """Number of minimal nonempty opens."""
+    opens = _opens(X)
     return sum(
         1
-        for u in X.opens
-        if u and not any(v and v != u and v & ~u == 0 for v in X.opens)
+        for u in opens
+        if u and not any(v and v != u and v & ~u == 0 for v in opens)
     )
 
 
@@ -692,6 +725,33 @@ def naive_topology_families(n: int) -> set[frozenset[int]]:
     return out
 
 
+def naive_generate_topology(n: int, subbase) -> set[int]:
+    """The open family generated by a subbase: close it under
+    intersections (the empty one being the whole space), then unions."""
+    full = (1 << n) - 1
+    meets = {full}
+    for s in subbase:
+        meets |= {m & s for m in meets}
+    opens = {0}
+    for m in meets:
+        opens |= {u | m for u in opens}
+    return opens
+
+
+def naive_continuity_failure(source, target, point_map):
+    """The least open of the target, as a mask, whose preimage is not
+    an open of the source; None when the map is continuous."""
+    source_opens = set(_opens(source))
+    for u in _opens(target):
+        pre = 0
+        for p, q in enumerate(point_map):
+            if u >> q & 1:
+                pre |= 1 << p
+        if pre not in source_opens:
+            return u
+    return None
+
+
 def _irredundant_covers(X):
     """Covers by distinct nonempty opens from which no member can be
     dropped. Every open cover is refined by one of these.
@@ -707,7 +767,7 @@ def _irredundant_covers(X):
     if full == 0:
         yield ()
         return
-    opens = [u for u in X.open_masks() if u]
+    opens = [u for u in _opens(X) if u]
     by_point = [[u for u in opens if u >> p & 1] for p in range(X.point_count)]
     seen = set()
 

@@ -25,7 +25,7 @@ from contactalg import (
     relative_algebra,
 )
 
-from naive import naive_first_meet_failure, naive_min_dense
+from naive import naive_first_meet_failure, naive_generated_subalgebra, naive_min_dense
 
 ALG4 = powerset_algebra(4)
 
@@ -146,6 +146,24 @@ def test_subalgebra_count_is_bell_number():
     # subalgebras of a power set match partitions of the atom set
     assert sum(1 for _ in all_subalgebras(powerset_algebra(3))) == 5
     assert sum(1 for _ in all_subalgebras(powerset_algebra(4))) == 15
+
+
+def test_subalgebras_match_the_closure_oracle():
+    """generated_subalgebra on every generator set of at most three
+    members on at most four atoms; all_subalgebras yields each of those
+    subalgebras exactly once (two generators reach every partition of at
+    most four blocks)."""
+    for k in range(5):
+        alg = powerset_algebra(k)
+        generated = set()
+        for r in range(4):
+            for gens in itertools.combinations(range(alg.size), r):
+                members = {x.mask for x in generated_subalgebra(alg, [alg.element(m) for m in gens]).members}
+                assert members == naive_generated_subalgebra(alg.full_mask, gens)
+                generated.add(frozenset(members))
+        listed = [frozenset(x.mask for x in sub.members) for sub in all_subalgebras(alg)]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == generated
 
 
 def test_subalgebras_are_closed(b3):

@@ -26,7 +26,7 @@ QUERIES = (
 
 def _space_text(X) -> str:
     lines = [f"points: {X.point_count}"]
-    for u in X.open_masks():
+    for u in sorted(X.opens):
         if u:
             members = ",".join(str(p) for p in sorted(X.points(u)))
             lines.append(f"open: {{{members}}}")

@@ -6,17 +6,21 @@ most four points) and from enumerate_topologies on five points, which
 the first test ties to the filter.
 """
 
+import random
 from functools import cache
+from itertools import combinations, product
 
 import pytest
 
 from contactalg import (
+    ContinuousMap,
     Element,
     FiniteSpace,
     ValidationError,
     closure,
     dim_cl,
     enumerate_topologies,
+    generate_topology,
     interior,
     is_pi_semiregular,
     is_semiregular,
@@ -28,6 +32,8 @@ from contactalg import (
 from naive import (
     naive_atoms,
     naive_closure,
+    naive_continuity_failure,
+    naive_generate_topology,
     naive_interior,
     naive_irredundant_dim_cl,
     naive_is_pi_semiregular,
@@ -135,3 +141,80 @@ def test_dim_cl_matches_the_irredundant_covers():
             assert dim_cl(X, n_cap=4) == naive_irredundant_dim_cl(X, n_cap=4)
             count += 1
     assert count == 7332
+
+
+def _continuity_message(X, Y, point_map):
+    try:
+        ContinuousMap(X, Y, point_map)
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+def _naive_continuity_message(X, Y, point_map):
+    u = naive_continuity_failure(X, Y, point_map)
+    if u is None:
+        return None
+    return f"not continuous: preimage of {sorted(Y.points(u))} is not open"
+
+
+def test_continuity_matches_the_opens_sweep():
+    """Verdict and message on every map between spaces of at most three
+    points, and on seeded maps between spaces of four and five."""
+    small = list(spaces(3))
+    count = failing = 0
+    for X, Y in product(small, repeat=2):
+        for point_map in product(range(Y.point_count), repeat=X.point_count):
+            message = _continuity_message(X, Y, point_map)
+            assert message == _naive_continuity_message(X, Y, point_map)
+            count += 1
+            failing += message is not None
+    assert (count, failing) == (24_907, 13_562)
+    rng = random.Random(20)
+    pools = {n: list(enumerate_topologies(n)) for n in (4, 5)}
+    failing = 0
+    for _ in range(3_000):
+        X = rng.choice(pools[rng.choice((4, 5))])
+        Y = rng.choice(pools[rng.choice((4, 5))])
+        point_map = [rng.randrange(Y.point_count) for _ in range(X.point_count)]
+        message = _continuity_message(X, Y, point_map)
+        assert message == _naive_continuity_message(X, Y, point_map)
+        failing += message is not None
+    assert 0 < failing < 3_000
+
+
+def test_generated_topology_matches_the_subbase_closure():
+    """Every subbase on at most three points, every one of at most three
+    members on four, and seeded ones of up to five members on five."""
+    for n in range(5):
+        masks = range(1 << n)
+        for r in range(len(masks) + 1 if n < 4 else 4):
+            for subbase in combinations(masks, r):
+                assert generate_topology(n, subbase).opens == naive_generate_topology(n, subbase)
+    rng = random.Random(20)
+    for _ in range(500):
+        subbase = [rng.randrange(32) for _ in range(rng.randrange(6))]
+        assert generate_topology(5, subbase).opens == naive_generate_topology(5, subbase)
+
+
+def test_discreteness_and_equality_follow_the_open_family():
+    """is_discrete, == and hash against the open family itself, on every
+    pair of spaces of at most three points and seeded pairs on four and
+    five, half of them rebuilt from the same family."""
+    small = [(fam, FiniteSpace(n, fam)) for n in range(4) for fam in families(n)]
+    for fam, X in small:
+        assert X.opens == fam
+        assert X.is_discrete == (len(fam) == 1 << X.point_count)
+    for (f, X), (g, Y) in product(small, repeat=2):
+        assert (X == Y) == (f == g)
+        if f == g:
+            assert hash(X) == hash(Y)
+    rng = random.Random(20)
+    pools = {n: list(enumerate_topologies(n)) for n in (4, 5)}
+    for _ in range(2_000):
+        X = rng.choice(pools[rng.choice((4, 5))])
+        Y = rng.choice(pools[X.point_count]) if rng.random() < 0.5 else FiniteSpace(X.point_count, X.opens)
+        assert X.is_discrete == (len(X.opens) == 1 << X.point_count)
+        assert (X == Y) == (X.opens == Y.opens)
+        if X == Y:
+            assert hash(X) == hash(Y)
