@@ -33,6 +33,7 @@ Exit codes: 0 all checks passed, 1 some reported property failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -398,37 +399,41 @@ def _cmd_space(args, report: Report):
         raise CliInputError(f"unknown space query {what!r}")
 
 
-def _canonical_rows(rows: tuple[int, ...], k: int) -> str:
-    import itertools
-
-    best: str | None = None
-    for perm in itertools.permutations(range(k)):
-        bits = []
-        for p in range(k):
-            row = rows[perm[p]]
-            bits.append("".join("1" if row >> perm[q] & 1 else "0" for q in range(k)))
-        s = "".join(bits)
-        if best is None or s < best:
-            best = s
-    return best or ""
+def _orbit_classes(structures, k: int) -> list[tuple[str, ContactStructure]]:
+    """(canonical string, first member met) per relabelling orbit, in order
+    of first appearance. A permutation pi of the atoms acts by
+    (pi.R)(p, q) = R(pi p, pi q), a group action that maps the enumerated
+    set (every relation, or every reflexive symmetric one) to itself. The
+    string of R under pi (row-major bits) is the identity string of pi.R,
+    so the least string over pi is the same on a whole orbit and differs
+    between orbits. Hence the first member met is relabelled k! times,
+    once; every image is marked seen, and later members cost one lookup.
+    Row p of pi.R is tables[i][R[pi p]]: tables[i][m] is m with bit pi q
+    moved to bit q, for the i-th permutation pi."""
+    perms = list(itertools.permutations(range(k)))
+    tables = [[sum((m >> pi[q] & 1) << q for q in range(k)) for m in range(1 << k)] for pi in perms]
+    text = ["".join("1" if m >> q & 1 else "0" for q in range(k)) for m in range(1 << k)]
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for structure in structures:
+        rows = structure.rows
+        if rows in seen:
+            continue
+        images = [tuple(table[rows[p]] for p in pi) for pi, table in zip(perms, tables)]
+        seen.update(images)
+        classes.append((min("".join([text[r] for r in image]) for image in images), structure))
+    return classes
 
 
 def _cmd_search(args, report: Report):
-    if args.atoms < 1 or args.atoms > 5:
-        raise CliInputError("search supports --atoms 1..5")
+    if args.atoms < 1 or args.atoms > 6:
+        raise CliInputError("search supports --atoms 1..6")
     rs = args.contact_class == "reflexive-symmetric"
     if not rs and args.atoms > 4:
         raise CliInputError("search --contact-class all supports --atoms 1..4")
     for k in range(1, args.atoms + 1):
         alg = powerset_algebra(k)
-        seen: set[str] = set()
-        rows_list = []
-        for structure in all_contact_structures(alg, reflexive_symmetric=rs):
-            canon = _canonical_rows(structure.rows, k)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            rows_list.append((canon, structure))
+        rows_list = _orbit_classes(all_contact_structures(alg, reflexive_symmetric=rs), k)
         rows_list.sort(key=lambda t: t[0])
         for canon, structure in rows_list:
             ca = ContactAlgebra(alg, structure)
@@ -564,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=3)
 
     p = sub.add_parser("search", help="enumerate small atom relations and tabulate invariants")
-    p.add_argument("--atoms", type=int, required=True, help="enumerate 1..k atoms (k at most 5, or 4 with --contact-class all)")
+    p.add_argument("--atoms", type=int, required=True, help="enumerate 1..k atoms (k at most 6, or 4 with --contact-class all)")
     p.add_argument(
         "--contact-class",
         choices=["reflexive-symmetric", "all"],

@@ -801,3 +801,34 @@ def naive_irredundant_dim_cl(X, n_cap: int = 3):
         if all(_has_refinement_of_order(X, cover, n) for cover in _irredundant_covers(X)):
             return n
     return None
+
+
+def naive_canonical_rows(rows: tuple[int, ...], k: int) -> str:
+    """The least row-major bit string of the relation over all k!
+    relabellings of its atoms, each relabelling tried afresh."""
+    import itertools
+
+    best: str | None = None
+    for perm in itertools.permutations(range(k)):
+        bits = []
+        for p in range(k):
+            row = rows[perm[p]]
+            bits.append("".join("1" if row >> perm[q] & 1 else "0" for q in range(k)))
+        s = "".join(bits)
+        if best is None or s < best:
+            best = s
+    return best or ""
+
+
+def naive_orbit_classes(structures, k: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(canonical string, rows) for the first relation met of each
+    isomorphism class, canonicalising every relation on its own."""
+    seen: set[str] = set()
+    classes = []
+    for structure in structures:
+        canon = naive_canonical_rows(structure.rows, k)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        classes.append((canon, structure.rows))
+    return classes

@@ -253,6 +253,31 @@ def test_search_all_relations_refuses_five_atoms(capsys):
     assert err == "error: search --contact-class all supports --atoms 1..4\n"
 
 
+def test_search_refuses_seven_atoms(capsys):
+    code, out, err = run(capsys, "search", "--atoms", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: search supports --atoms 1..6\n"
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        # graphs on k vertices (OEIS A000088) and digraphs with loops (A000595)
+        (["--atoms", "6"], [1, 2, 4, 11, 34, 156]),
+        (["--atoms", "4", "--contact-class", "all"], [2, 10, 104, 3044]),
+    ],
+)
+def test_search_class_counts_within_budget(capsys, argv, counts):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "search", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    lines = out.splitlines()
+    assert [sum(line.startswith(f"atoms={k} ") for line in lines) for k in range(1, len(counts) + 1)] == counts
+    assert len(lines) == sum(counts)
+
+
 def test_crosscheck(tmp_path, capsys):
     sp = tmp_path / "s.space"
     sp.write_text("points: 4\nopen: {0}\nopen: {1}\nopen: {0,1}\nopen: {0,1,2}\nopen: {0,1,3}\n")
