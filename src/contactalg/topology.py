@@ -5,12 +5,14 @@ containing p, and the opens are the up-sets (Alexandroff 1937). So
 FiniteSpace keeps only the minimal neighbourhood U_p of each point, and
 everything is computed from those n masks: continuity, closures and
 interiors, the regular closed and regular open algebras from the minimal
-U_p (built once per space and kept on it), covering dimension from the
-single cover {U_p}, weight, pi-weight, semiregularity, the contravariant
-regular-closed functor on continuous maps, and baby Stone duality. None of it consults the algebraic search
-code, which is the point: the test suite plays the two sides against
-each other, and tests/naive.py keeps the definitional sweeps over the
-open family as oracles.
+U_p (built once per space and kept on it), covering dimension as the
+order of the maximal U_p, the clopen sets as the unions of the connected
+components of the preorder, weight, pi-weight, semiregularity, the
+contravariant regular-closed functor on continuous maps, and baby Stone
+duality. No query builds the open family, and none of it consults the
+algebraic search code, which is the point: the test suite plays the two
+sides against each other, and tests/naive.py keeps the definitional
+sweeps over the open family as oracles.
 
 Subsets of a space are int bitmasks over points, the same convention the
 Boolean algebra layer uses for atoms. FiniteSpace.mask and .points
@@ -39,6 +41,14 @@ from .lca import LcaMorphismTable, LocalContactAlgebra, check_dhlc_morphism
 DEFAULT_MAX_POINTS = 5
 
 
+def _capped_full_mask(point_count: int) -> int:
+    if not 0 <= point_count <= DEFAULT_MAX_POINTS:
+        raise ValidationError(
+            f"point count must lie in [0, {DEFAULT_MAX_POINTS}] (open families grow exponentially)"
+        )
+    return (1 << point_count) - 1
+
+
 class FiniteSpace:
     """A finite topological space, stored as its specialisation preorder.
 
@@ -62,24 +72,47 @@ class FiniteSpace:
     __slots__ = ("point_count", "full_mask", "neighborhoods", "_rc")
 
     def __init__(self, point_count: int, opens: Iterable[int]):
-        if not 0 <= point_count <= DEFAULT_MAX_POINTS:
-            raise ValidationError(
-                f"point count must lie in [0, {DEFAULT_MAX_POINTS}] (open families grow exponentially)"
-            )
-        self.point_count = point_count
-        self.full_mask = (1 << point_count) - 1
+        full = _capped_full_mask(point_count)
         fam = frozenset(opens)
         for s in fam:
-            if not 0 <= s <= self.full_mask:
+            if not 0 <= s <= full:
                 raise ValidationError("open set out of range")
-        if 0 not in fam or self.full_mask not in fam:
+        if 0 not in fam or full not in fam:
             raise ValidationError("opens must contain the empty set and the space")
-        ups = [_and_all(u for u in fam if u >> p & 1) for p in range(point_count)]
+        ups = tuple(_and_all(u for u in fam if u >> p & 1) for p in range(point_count))
         for u in fam:
             for up in ups:
                 if u | up not in fam:
                     raise ValidationError("opens not closed under union/intersection")
-        self.neighborhoods = tuple(ups)
+        self._keep(ups)
+
+    @classmethod
+    def from_neighborhoods(cls, neighborhoods: Iterable[int]) -> "FiniteSpace":
+        """The space whose minimal neighbourhoods are the given masks U_p,
+        checked in O(n^2): each lies in range, p is in U_p, and q in U_p
+        implies U_q ⊆ U_p. The U_p of every topology pass. Conversely these
+        make the unions of the U_p a topology, FiniteSpace(n, unions), with
+        the same U_p: U_p ∩ U_q is the union of the U_r of its points, and
+        any union holding p has a member U_r holding p, so U_p ⊆ U_r.
+        """
+        ups = tuple(neighborhoods)
+        full = _capped_full_mask(len(ups))
+        for p, up in enumerate(ups):
+            if not 0 <= up <= full:
+                raise ValidationError(f"neighbourhood U_{p} out of range")
+            if not up >> p & 1:
+                raise ValidationError(f"point {p} is not in its neighbourhood U_{p}")
+            for q in range(len(ups)):
+                if up >> q & 1 and ups[q] & ~up:
+                    raise ValidationError(f"point {q} is in U_{p} but U_{q} is not inside U_{p}")
+        space = cls.__new__(cls)
+        space._keep(ups)
+        return space
+
+    def _keep(self, ups: tuple[int, ...]) -> None:
+        self.point_count = len(ups)
+        self.full_mask = (1 << len(ups)) - 1
+        self.neighborhoods = ups
         self._rc = None  # the RcAlgebra, once rc_algebra has built it
 
     @property
@@ -172,7 +205,7 @@ def generate_topology(n: int, subbase: Iterable[int]) -> FiniteSpace:
     full = (1 << n) - 1
     subbase = list(subbase)
     ups = [full & _and_all(s for s in subbase if s >> p & 1) for p in range(n)]
-    return FiniteSpace(n, _unions(ups))
+    return FiniteSpace.from_neighborhoods(ups)
 
 
 class ContinuousMap:
@@ -237,10 +270,11 @@ class RcAlgebra:
     lca carries the standard contact (sets touch) with everything
     bounded: on a finite space every subset is compact, so the compact
     regular closed sets are all of them. atom_sets[i] is the concrete
-    point set of abstract atom i.
+    point set of abstract atom i. neighborhoods names the space by its U_p,
+    since the space keeps this algebra and a reference back would be a cycle.
     """
 
-    space: FiniteSpace
+    neighborhoods: tuple[int, ...]
     lca: LocalContactAlgebra
     atom_sets: tuple[int, ...]
     _from_set: dict
@@ -303,7 +337,7 @@ def _build_rc_algebra(X: FiniteSpace) -> RcAlgebra:
         raise InternalInconsistencyError("regular closed atoms give fewer than 2^k unions")
     rows = [_or_all(1 << q for q, b in enumerate(atoms) if a & b) for a in atoms]
     lca = LocalContactAlgebra(ContactAlgebra(alg, ContactStructure(alg, rows)), alg.one)
-    return RcAlgebra(X, lca, tuple(atoms), from_set)
+    return RcAlgebra(X.neighborhoods, lca, tuple(atoms), from_set)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,37 +461,20 @@ def cover_predicates(F: SetFamily, G: SetFamily) -> CoverReport:
     if F.space != G.space:
         raise MismatchError("families over different spaces")
     covers = F.is_cover()
-    refinement = (
-        covers
-        and G.is_cover()
-        and all(any(b & ~a == 0 for a in G.members) for b in F.members)
+    refinement = covers and G.is_cover() and all(
+        any(b & ~a == 0 for a in G.members) for b in F.members
     )
-    shrinking: bool | None = None
-    swelling: bool | None = None
-    witness: tuple[int, ...] | None = None
-    if len(F.members) == len(G.members):
-        shrinking = covers and all(
-            b & ~a == 0 for b, a in zip(F.members, G.members)
-        )
-        swelling = True
-        for i, (b, a) in enumerate(zip(F.members, G.members)):
-            if a & ~b:  # swelling must contain what it swells
-                swelling = False
-                witness = (i,)
-                break
-        if swelling:
-            n = len(F.members)
-            for r in range(1, n + 1):
-                for combo in itertools.combinations(range(n), r):
-                    small = _and_all(G.members[i] for i in combo)
-                    big = _and_all(F.members[i] for i in combo)
-                    if (small == 0) != (big == 0):
-                        swelling = False
-                        witness = combo
-                        break
-                if not swelling:
-                    break
-    return CoverReport(covers, refinement, shrinking, swelling, witness)
+    n = len(F.members)
+    if n != len(G.members):
+        return CoverReport(covers, refinement, None, None)
+    shrinking = covers and all(b & ~a == 0 for b, a in zip(F.members, G.members))
+    # a swelling must contain what it swells, and meet exactly where it meets
+    witness = next(((i,) for i, (b, a) in enumerate(zip(F.members, G.members)) if a & ~b), None)
+    if witness is None:
+        combos = (c for r in range(1, n + 1) for c in itertools.combinations(range(n), r))
+        witness = next((c for c in combos if (_and_all(G.members[i] for i in c) == 0)
+                        != (_and_all(F.members[i] for i in c) == 0)), None)
+    return CoverReport(covers, refinement, shrinking, witness is None, witness)
 
 
 def is_shrinking_of(F: SetFamily, G: SetFamily) -> bool:
@@ -476,58 +493,31 @@ def _indexed(F: SetFamily, G: SetFamily) -> CoverReport:
     return cover_predicates(F, G)
 
 
-def _has_refinement_of_order(full: int, candidates: list[int], n: int) -> bool:
-    """Is there an open cover of the space (points in full) with order
-    <= n, drawn from the given distinct nonempty opens?
-
-    The search covers the lowest uncovered point at each step.
-    layers[j] holds the points already in more than j chosen members, so
-    an open is admissible while it misses layers[n], and choosing it
-    raises each of its points one layer.
-    """
-
-    def extend(covered: int, layers: tuple[int, ...]) -> bool:
-        if covered == full:
-            return True
-        rest = full & ~covered
-        low = rest & -rest
-        top = layers[-1]
-        for u in candidates:
-            if not u & low or u & top:
-                continue
-            raised = (layers[0] | u,) + tuple(
-                layers[j] | (layers[j - 1] & u) for j in range(1, len(layers))
-            )
-            if extend(covered | u, raised):
-                return True
-        return False
-
-    return extend(0, (0,) * (n + 1))
-
-
 def dim_cl(X: FiniteSpace, n_cap: int = 3) -> int | None:
     """Covering dimension: least n such that every finite open cover has
     an open refinement in which at most n+1 members share a point.
 
-    -1 exactly for the empty space; None when every n up to the cap
-    fails; a cap below -1 is refused. The minimal neighbourhoods {U_p}
-    form an open cover that refines every open cover, since U_p lies in
-    any open containing p.
-    So every open cover has a refinement of order <= n exactly when
-    {U_p} has one: a refinement of {U_p} refines every cover as well.
-    The suite checks this against the irredundant-cover quantifier and
-    the sweep over all open covers in tests/naive.py.
+    -1 exactly for the empty space; None when the value is above the cap;
+    a cap below -1 is refused. The open cover {U_p} refines every open
+    cover, since U_p lies in any open containing p, so the value is the
+    least order of a refinement of {U_p}: the order of M, the maximal
+    members of {U_p}.
+    Lower bound: for U_q in M, any refinement of {U_p} has a member V
+    holding q. V is open, so U_q ⊆ V, and V ⊆ U_p for some p. As q ∈ U_p,
+    U_q ⊆ U_p, so U_q = U_p by maximality and V = U_q. So M is part of
+    the refinement, and each point lies in at least as many of its members.
+    Upper bound: M covers X, since each U_r lies in a maximal U_p, and M
+    refines {U_p}. The suite checks this against the irredundant-cover
+    quantifier and the sweep over all open covers in tests/naive.py.
     """
     if n_cap < -1:
         raise ValidationError(f"dimension cap must be at least -1, got {n_cap}")
     if X.point_count == 0:
         return -1
-    cover = set(X.neighborhoods)
-    candidates = sorted(u for u in X.opens if u and any(u & ~c == 0 for c in cover))
-    for n in range(0, n_cap + 1):
-        if _has_refinement_of_order(X.full_mask, candidates, n):
-            return n
-    return None
+    ups = set(X.neighborhoods)
+    maximal = tuple(u for u in ups if not any(u != v and u & ~v == 0 for v in ups))
+    d = family_order(SetFamily(X, maximal))
+    return d if d <= n_cap else None
 
 
 @dataclass(frozen=True)
@@ -560,34 +550,27 @@ def regular_shrinking_dim_check(X: FiniteSpace, n: int) -> RegularShrinkingRepor
 
         def pick(i: int, covered: int, met: int, int_covered: int) -> bool:
             if i == size:
-                return (
-                    covered == X.full_mask
-                    and met == 0
-                    and (not need_interior_cover or int_covered == X.full_mask)
+                return covered == X.full_mask and met == 0 and (
+                    not need_interior_cover or int_covered == X.full_mask
                 )
-            for f in per_slot[i]:
-                if pick(i + 1, covered | f, met & f, int_covered | interior(X, f)):
-                    return True
-            return False
+            return any(
+                pick(i + 1, covered | f, met & f, int_covered | interior(X, f)) for f in per_slot[i]
+            )
 
         return pick(0, 0, X.full_mask if size else 0, 0)
 
-    holds = True
-    corollary = True
+    holds = corollary = True
     for cover in itertools.combinations_with_replacement(ro_sets, size):
         if _or_all(cover) != X.full_mask:
             continue
-        if holds and not shrink(cover, False):
-            holds = False
-        if corollary and not shrink(cover, True):
-            corollary = False
+        holds = holds and shrink(cover, False)
+        corollary = corollary and shrink(cover, True)
         if not holds and not corollary:
             break
     within = X.is_discrete
     if within:
         d = dim_cl(X, n_cap=max(n, 0))
-        agrees = (d is not None and d <= n) == holds
-        if not agrees:
+        if (d is not None and d <= n) != holds:
             raise InternalInconsistencyError(
                 "regular-cover test disagrees with covering dimension on a discrete space"
             )
@@ -675,7 +658,7 @@ def lambda_t_map(
     """
     t_rc = target_rc if target_rc is not None else rc_algebra(f.target)
     s_rc = source_rc if source_rc is not None else rc_algebra(f.source)
-    if t_rc.space != f.target or s_rc.space != f.source:
+    if (t_rc.neighborhoods, s_rc.neighborhoods) != (f.target.neighborhoods, f.source.neighborhoods):
         raise MismatchError("rc algebras do not match the map's spaces")
     mapping = []
     for m in range(t_rc.algebra.size):
@@ -697,24 +680,39 @@ def stone_dual(B: FiniteBooleanAlgebra) -> FiniteSpace:
     return discrete_space(B.atom_count)
 
 
+def _components(X: FiniteSpace) -> list[int]:
+    """The connected components of the preorder, merging p with each q in U_p.
+
+    The clopen sets are exactly the unions of components. An open set is
+    an up-set of the preorder and a closed set is a down-set, so a clopen
+    set holding p holds every q in U_p and every q with p in U_q, hence
+    p's whole component; and a union of components is both.
+    """
+    components: list[int] = []
+    for up in X.neighborhoods:
+        kept = []
+        for c in components:
+            if c & up:
+                up |= c
+            else:
+                kept.append(c)
+        components = kept + [up]
+    return components
+
+
 def clopen_sets(X: FiniteSpace) -> list[int]:
-    opens = X.opens
-    return sorted(u for u in opens if (X.full_mask ^ u) in opens)
+    return sorted(_unions(_components(X)))
 
 
 def co_algebra(X: FiniteSpace) -> FiniteBooleanAlgebra:
-    """Abstract algebra of the clopen sets."""
-    clopens = clopen_sets(X)
-    atoms = _atoms_of_family(clopens)
-    if len(clopens) != 1 << len(atoms):
-        raise InternalInconsistencyError("clopen family is not a Boolean algebra")
-    return powerset_algebra(len(atoms))
+    """Abstract algebra of the clopen sets: its atoms are the components."""
+    return powerset_algebra(len(_components(X)))
 
 
 def is_connected_space(X: FiniteSpace) -> bool:
-    """No proper nonempty clopen subset; checked against connectedness
-    of the regular closed contact algebra, which must agree."""
-    result = len(clopen_sets(X)) <= 2
+    """At most one component, so no proper nonempty clopen subset; checked
+    against connectedness of the regular closed contact algebra."""
+    result = len(_components(X)) <= 1
     if is_connected(rc_algebra(X).ca) != result:
         raise InternalInconsistencyError(
             "space connectedness disagrees with the regular closed algebra"
@@ -732,7 +730,7 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
     complement of an up-set) of the old order, with U above every point
     of D, and each point of D gains the new point above it (U is there
     already). Each preorder arises once, from its restriction to the
-    first m points. The opens are then the unions of the up-sets.
+    first m points.
     """
     if not 0 <= n <= DEFAULT_MAX_POINTS:
         raise ValidationError(f"topology enumeration is capped at {DEFAULT_MAX_POINTS} points")
@@ -752,4 +750,4 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
                     ) + (up | bit,))
         orders = grown
     for ups in orders:
-        yield FiniteSpace(n, _unions(ups))
+        yield FiniteSpace.from_neighborhoods(ups)

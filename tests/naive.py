@@ -708,6 +708,12 @@ def naive_pi_weight_of_space(X) -> int:
     )
 
 
+def naive_clopen_sets(X) -> list[int]:
+    """The opens whose complement is open, in increasing order."""
+    opens = _opens(X)
+    return [u for u in opens if X.full_mask ^ u in opens]
+
+
 def naive_topology_families(n: int) -> set[frozenset[int]]:
     """Every topology on n labelled points, by filtering all 2^(2^n - 2)
     families that hold the empty set and the space for closure under

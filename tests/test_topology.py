@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +45,7 @@ from contactalg import (
     weight_of_space,
 )
 
+from contactalg.topology import DEFAULT_MAX_POINTS
 from naive import naive_dim_cl, naive_family_order
 
 
@@ -58,6 +61,25 @@ def test_space_validation():
         FiniteSpace(2, {0b00, 0b11, 0b01, 0b10, 0b01 | 0b10} - {0b11})  # no X
     with pytest.raises(ValidationError):
         FiniteSpace(3, {0, 0b111, 0b001, 0b010})  # not closed under union
+
+
+@pytest.mark.parametrize(
+    "ups,message",
+    [
+        ((0b01, 0b00), "point 1 is not in its neighbourhood U_1"),
+        ((0b011, 0b110, 0b100), "point 1 is in U_0 but U_1 is not inside U_0"),
+        ((0b01, 0b110), "neighbourhood U_1 out of range"),
+        (
+            (1,) * (DEFAULT_MAX_POINTS + 1),
+            f"point count must lie in [0, {DEFAULT_MAX_POINTS}] (open families grow exponentially)",
+        ),
+    ],
+    ids=["reflexive", "transitive", "range", "cap"],
+)
+def test_neighborhood_constructor_refusals(ups, message):
+    with pytest.raises(ValidationError) as info:
+        FiniteSpace.from_neighborhoods(ups)
+    assert str(info.value) == message
 
 
 def test_space_equality():
@@ -239,7 +261,16 @@ def test_dim_cl_fixtures(space, expected):
 
 
 def test_dim_cl_circle_model():
+    """Also the cap contract on every space of at most four points: a cap
+    hides exactly the values above it, and a cap below -1 is refused."""
     assert dim_cl(circle_model(), n_cap=3) == 1
+    for n in range(5):
+        for X in enumerate_topologies(n):
+            d = dim_cl(X, 4)
+            for c in range(-1, 5):
+                assert dim_cl(X, c) == (d if d <= c else None)
+    with pytest.raises(ValidationError):
+        dim_cl(circle_model(), n_cap=-2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -314,6 +345,22 @@ def test_regular_algebras_are_built_once_per_space():
     tf, tg = lambda_t_map(f), lambda_t_map(g)
     assert tf.source is tg.target
     assert compose_diamond(tf, tg).mapping == lambda_t_map(g.after(f)).mapping
+
+
+def test_a_space_and_its_regular_algebras_are_freed_by_reference_counts():
+    class Space(FiniteSpace):  # FiniteSpace has slots and takes no weak reference
+        pass
+
+    gc.disable()
+    try:
+        X = Space(4, circle_model().opens)
+        rc_algebra(X)
+        ro_algebra(X)
+        ref = weakref.ref(X)
+        del X
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_lambda_t_on_non_discrete():

@@ -17,11 +17,14 @@ from contactalg import (
     Element,
     FiniteSpace,
     ValidationError,
+    clopen_sets,
     closure,
+    co_algebra,
     dim_cl,
     enumerate_topologies,
     generate_topology,
     interior,
+    is_connected_space,
     is_pi_semiregular,
     is_semiregular,
     pi_weight_of_space,
@@ -29,8 +32,10 @@ from contactalg import (
     ro_algebra,
     weight_of_space,
 )
+from contactalg.boolean import _unions
 from naive import (
     naive_atoms,
+    naive_clopen_sets,
     naive_closure,
     naive_continuity_failure,
     naive_generate_topology,
@@ -71,6 +76,44 @@ def test_enumeration_and_validation_match_the_filter(n):
             continue
         accepted.add(frozenset(fam))
     assert accepted == families(n)
+
+
+def test_neighborhood_constructor_matches_the_open_family():
+    """from_neighborhoods against FiniteSpace on the unions of the U_p,
+    on every labelled space of at most five points; on at most four, it
+    accepts exactly the U_p of those spaces among all tuples of masks."""
+    count = 0
+    for n in range(6):
+        found = set()
+        for X in enumerate_topologies(n):
+            Y = FiniteSpace.from_neighborhoods(X.neighborhoods)
+            Z = FiniteSpace(n, _unions(X.neighborhoods))
+            assert Y.neighborhoods == Z.neighborhoods == X.neighborhoods
+            assert Y == Z and hash(Y) == hash(Z)
+            assert Y.opens == Z.opens
+            found.add(X.neighborhoods)
+            count += 1
+        if n <= 4:
+            accepted = set()
+            for ups in product(range(1 << n), repeat=n):
+                try:
+                    accepted.add(FiniteSpace.from_neighborhoods(ups).neighborhoods)
+                except ValidationError:
+                    pass
+            assert accepted == found
+    assert count == 7332
+
+
+def test_clopens_match_the_opens_sweep():
+    count = 0
+    for n in range(6):
+        for X in enumerate_topologies(n):
+            clopens = naive_clopen_sets(X)
+            assert clopen_sets(X) == clopens
+            assert co_algebra(X).atom_count == len(naive_atoms(clopens))
+            assert is_connected_space(X) == (len(clopens) <= 2)
+            count += 1
+    assert count == 7332
 
 
 def test_closure_and_interior_match_the_opens_sweep():
