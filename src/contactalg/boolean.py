@@ -234,17 +234,17 @@ def relative_algebra(parent: FiniteBooleanAlgebra, u: Element) -> RelativeAlgebr
 
 
 def is_dense_subset(algebra: FiniteBooleanAlgebra, members: Iterable[Element]) -> bool:
-    """Is M dense: every nonzero b has a nonzero x in M with x <= b?"""
-    masks = []
+    """Is M dense: every nonzero b has a nonzero x in M with x <= b?
+
+    That holds iff M holds every atom: the only nonzero element below an
+    atom is the atom itself, and every nonzero b lies above its atoms.
+    """
+    masks = set()
     for x in members:
         if x.algebra is not algebra:
             raise MismatchError("dense-subset member from a different algebra")
-        if x.mask:
-            masks.append(x.mask)
-    for b in range(1, algebra.size):
-        if not any(m & ~b == 0 for m in masks):
-            return False
-    return True
+        masks.add(x.mask)
+    return all(1 << p in masks for p in range(algebra.atom_count))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,10 @@ finite algebra every relation satisfying the null and additivity axioms
 (C1) and (C2) arises exactly this way. So those two hold by
 construction, and so do LL2, LL2', LL3, LL4 and LL4'. The other axioms
 are genuine properties of the matrix. A one-quantifier axiom is decided
-by one sweep over the elements. A two-quantifier axiom is decided on
-its extremal witness, by a test over the atoms or over the elements,
-and the ordered sweep over pairs runs only when that test fails, to
-find the first witness. Either way the report is the one the
-definitional sweep gives.
+by one sweep over the elements. A two-quantifier axiom reads its first
+failing pair off the atoms, with no sweep over pairs. Either way the
+report is the one the definitional sweep gives. Contact transport along
+a homomorphism is decided the same way, on atom pairs.
 
 The derived relation a << b ("a is well inside b") abbreviates
 not (a C b-complement). All axiom bundles and several searches are phrased
@@ -31,7 +30,7 @@ from .boolean import (
     check_homomorphism,
     powerset_algebra,
 )
-from .errors import InternalInconsistencyError, MismatchError, ValidationError
+from .errors import MismatchError, ValidationError
 
 AXIOM_NAMES = (
     "C1", "C2", "C3", "C4", "C5", "C6",
@@ -41,11 +40,9 @@ AXIOM_NAMES = (
 # Axioms that hold on every additive relation; _check_axiom_uncached says why.
 _BY_CONSTRUCTION = frozenset(("C1", "C2", "LL2", "LL2'", "LL3", "LL4", "LL4'"))
 
-# Axioms decided on their extremal witness; the pair sweep only finds it.
-_EXTREMAL = frozenset(("C4", "C5", "LL1", "LL5", "LL7"))
-
-# The widest axiom checks sweep pairs of elements, 4^k of them on k
-# atoms: about a million at the limit.
+# The widest axiom checks sweep the elements, 2^k of them on k atoms,
+# and read each one's reach from a 2^k table: about a thousand at the
+# limit.
 _SWEEP_ATOM_LIMIT = 10
 
 
@@ -220,11 +217,11 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
     - LL4: R(a | b) = R(a) | R(b) <= c.
     - LL4': R(a) <= b and R(a) <= c give R(a) <= b & c.
 
-    The other eight look for a witness with the outer loops of their
-    definitions, in increasing mask order, so the first witness is the
-    one the definitional sweep finds (those sweeps are kept in the test
-    suite as oracles). Each inner existential is replaced by its best candidate,
-    using that R is monotone and additive:
+    The other eight report the first witness of the definitional sweep,
+    which runs its quantifiers over masks in increasing order, nested as
+    in the axiom (those sweeps are kept in the test suite as oracles).
+    Each inner existential is replaced by its best candidate, using that
+    R is monotone and additive:
 
     - C5: a C-disjoint b has c with not a C c and not b C -c iff
       R(a) & R(b) = 0; take c = R(b), and any c works only if it
@@ -234,29 +231,38 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
     - LL5: a << c interpolates through some b iff it does through the
       least b with a << b, which is R(a); so iff R(R(a)) <= c.
 
-    C4, C5, LL1, LL5 and LL7 quantify over pairs, and each pair axiom
-    holds iff it holds at an extremal pair, which a test over the atoms
-    or over the elements decides. The ordered pair sweep runs only when
-    the test fails; if it then finds no witness the two disagree, and
-    InternalInconsistencyError is raised rather than a pass reported.
+    C3, C6 and LL6 are then one sweep over the elements. C4, C5, LL1,
+    LL5 and LL7 quantify over pairs (a, b), and their first failing pair
+    is read off the atoms; an atom p in a witness below stands for the
+    mask 1 << p. Since R is additive, a failing pair holds a failing
+    atom p of a, or a failing pair of atoms p of a and q of b. A mask
+    holding bit p is at least 2^p, so the least failing a is the least
+    failing atom, and likewise for b. Where R(a) fails at a and every b
+    failing at a lies above R(a), the least b is R(a), as a mask above
+    R(a) is at least R(a) as a number.
 
-    - C4 holds iff the atom matrix is symmetric: a C b reads "some atom
-      of a is related to some atom of b", and atoms are elements.
-    - C5 fails at (a, b) iff R(a) & b = 0 and R(a) & R(b) != 0. The b
-      with R(a) & b = 0 are those below -R(a), and R is monotone, so
-      the largest R(b) comes from b = -R(a): C5 holds iff
-      R(a) & R(-R(a)) = 0 for all a.
+    - C4 fails at (a, b) iff some atom p of a and q of b have q in
+      row(p) but not p in row(q), or the reverse: a C b reads "some atom
+      of a is related to some atom of b". So the witness is (p, q), p the
+      least atom in an asymmetric pair and q its least partner.
+    - C5 fails at (a, b) iff R(a) & b = 0 and R(a) & R(b) != 0. Then
+      some atoms p of a and q of b have rows that meet, and q lies
+      outside R(a), so outside row(p): the atom pair (p, q) fails too.
+      The witness is (p, q), p the least atom with such a partner q and
+      q its least one.
     - LL1 fails at (a, b) iff R(a) <= b and a is not below b. The least
-      such b is R(a), so LL1 holds iff a <= R(a) for all a, and by
-      additivity iff p lies in row(p) for every atom p.
+      such b is R(a), so a fails iff a is not below R(a), that is iff an
+      atom p of a is not in row(p). The witness is (p, row(p)), p the
+      least such atom.
     - LL5 fails at (a, c) iff R(a) <= c and R(R(a)) is not below c; the
-      least c is R(a), so LL5 holds iff R(R(a)) <= R(a) for all a. By
-      additivity that is R(row(p)) <= row(p) for every atom p, since
-      R(R(a)) and R(a) are the unions of those over the atoms p of a.
-    - LL7 fails at (a, b) iff R(a) <= b and R(-b) meets a. The
-      complements -b of the b above R(a) are the elements below
-      -R(a), and R is monotone, so LL7 holds iff R(-R(a)) & a = 0 for
-      all a.
+      least c is R(a), so a fails iff R(R(a)) is not below R(a). Both
+      are unions over the atoms p of a of R(row(p)) and row(p), so that
+      holds iff R(row(p)) is not below row(p) for some atom p of a. The
+      witness is (p, row(p)), p the least such atom.
+    - LL7 fails at (a, b) iff R(a) <= b and R(-b) meets a. Then some
+      atom p of a lies in the row of an atom outside b, so outside
+      row(p): p lies in R(-row(p)), and (p, row(p)) fails too. The
+      witness is (p, row(p)), p the least atom in R(-row(p)).
     """
     alg = s.algebra
     if alg.atom_count > _SWEEP_ATOM_LIMIT:
@@ -280,22 +286,16 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
                 return fail(a)
 
     elif name == "C4":
-        if all(rows[p] >> q & 1 == rows[q] >> p & 1 for p in atoms for q in atoms):
-            return AxiomReport(True, name)
-        for a in range(size):
-            ra = reach[a]
-            for b in range(size):
-                if (ra & b != 0) != (reach[b] & a != 0):
-                    return fail(a, b)
+        for p in atoms:
+            for q in atoms:
+                if rows[p] >> q & 1 != rows[q] >> p & 1:
+                    return fail(1 << p, 1 << q)
 
     elif name == "C5":
-        if not any(ra & reach[full ^ ra] for ra in reach):
-            return AxiomReport(True, name)
-        for a in range(size):
-            ra = reach[a]
-            for b in range(size):
-                if not ra & b and ra & reach[b]:
-                    return fail(a, b)
+        for p, row in enumerate(rows):
+            for q in atoms:
+                if not row >> q & 1 and rows[q] & row:
+                    return fail(1 << p, 1 << q)
 
     elif name == "C6":
         for a in range(full):
@@ -303,23 +303,14 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
                 return fail(a)
 
     elif name == "LL1":
-        if all(rows[p] >> p & 1 for p in atoms):
-            return AxiomReport(True, name)
-        for a in range(size):
-            ra = reach[a]
-            for b in range(size):
-                if not ra & ~b and a & ~b:
-                    return fail(a, b)
+        for p, row in enumerate(rows):
+            if not row >> p & 1:
+                return fail(1 << p, row)
 
     elif name == "LL5":
-        if not any(reach[row] & ~row for row in rows):
-            return AxiomReport(True, name)
-        for a in range(size):
-            ra = reach[a]
-            rra = reach[ra]
-            for c in range(size):
-                if not ra & ~c and rra & ~c:
-                    return fail(a, c)
+        for p, row in enumerate(rows):
+            if reach[row] & ~row:
+                return fail(1 << p, row)
 
     elif name == "LL6":
         for a in range(1, size):
@@ -327,20 +318,12 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
                 return fail(a)
 
     elif name == "LL7":
-        if not any(reach[full ^ reach[a]] & a for a in range(size)):
-            return AxiomReport(True, name)
-        for a in range(size):
-            ra = reach[a]
-            for b in range(size):
-                if not ra & ~b and reach[full ^ b] & a:
-                    return fail(a, b)
+        for p, row in enumerate(rows):
+            if reach[full ^ row] >> p & 1:
+                return fail(1 << p, row)
 
     else:
         raise AssertionError(name)
-    if name in _EXTREMAL:
-        raise InternalInconsistencyError(
-            f"{name} failed its extremal test but the pair sweep found no witness"
-        )
     return AxiomReport(True, name)
 
 
@@ -389,27 +372,7 @@ def is_ca_isomorphism(
         return False
     if h.source is not source.algebra or h.target is not target.algebra:
         raise MismatchError("homomorphism endpoints do not match the algebras")
-    return all(_atom_transport(h.mapping, source.contact, target.contact))
-
-
-def _atom_transport(f, source: ContactStructure, target: ContactStructure) -> tuple[bool, bool]:
-    """Does the homomorphism table f preserve, and does it reflect,
-    contact between source atoms? That decides every pair: f(a) is the
-    join of the f(p) over the atoms p <= a and both relations are
-    additive, so a C b iff p C q, and f(a) C' f(b) iff f(p) C' f(q), for
-    some atoms p <= a and q <= b.
-    """
-    images = [f[1 << p] for p in range(source.algebra.atom_count)]
-    preserves = reflects = True
-    for p, fp in enumerate(images):
-        row, reach = source.rows[p], target.reach_mask(fp)
-        for q, fq in enumerate(images):
-            s, g = row >> q & 1, reach & fq != 0
-            if s and not g:
-                preserves = False
-            if g and not s:
-                reflects = False
-    return preserves, reflects
+    return _transport_failures(h.mapping, source.contact, target.contact) == (None, None)
 
 
 def _transport_failures(
@@ -417,28 +380,28 @@ def _transport_failures(
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """The first mask pairs (a, b), in increasing order, at which the
     homomorphism table f fails to preserve and to reflect contact, or
-    None for a law that holds. The sweep runs only when a law fails on
-    atoms, and a failing law with no witness is an internal error.
+    None for a law that holds.
+
+    Both are atom pairs (p, q), the first failing one in (p, q) order.
+    f(a) is the join of the f(p) over the atoms p <= a and both
+    relations are additive, so a C b iff p C q, and f(a) C' f(b) iff
+    f(p) C' f(q), for some atoms p <= a and q <= b. If (a, b) fails to
+    preserve, some such p C q holds while no f(p) C' f(q) does, so the
+    atom pair (p, q) fails too; the same goes for reflecting. A mask
+    holding bit p is at least 2^p, so the least failing a is the least
+    atom p in a failing pair, and the least failing b at it is the
+    least q that fails with p.
     """
-    preserves, reflects = _atom_transport(f, source, target)
+    images = [f[1 << p] for p in range(source.algebra.atom_count)]
     preserve_fail = reflect_fail = None
-    if not (preserves and reflects):
-        s_reach, t_reach = source.closure_table(), target.closure_table()
-        size = source.algebra.size
-        for a in range(size):
-            ra, fra = s_reach[a], t_reach[f[a]]
-            for b in range(size):
-                s, g = ra & b != 0, fra & f[b] != 0
-                if s and not g and preserve_fail is None:
-                    preserve_fail = (a, b)
-                if g and not s and reflect_fail is None:
-                    reflect_fail = (a, b)
-            if (preserves or preserve_fail) and (reflects or reflect_fail):
-                break
-        else:
-            raise InternalInconsistencyError(
-                "contact transport failed on atoms but the pair sweep found no witness"
-            )
+    for p, fp in enumerate(images):
+        row, reach = source.rows[p], target.reach_mask(fp)
+        for q, fq in enumerate(images):
+            s, g = row >> q & 1, reach & fq != 0
+            if s and not g and preserve_fail is None:
+                preserve_fail = (1 << p, 1 << q)
+            if g and not s and reflect_fail is None:
+                reflect_fail = (1 << p, 1 << q)
     return preserve_fail, reflect_fail
 
 

@@ -249,6 +249,21 @@ def naive_transport_failures(h, source: ContactAlgebra, target: ContactAlgebra):
     return preserve, reflect
 
 
+def naive_bounded_transport(t) -> tuple[bool, bool]:
+    """Does the table t keep boundedness (a <= u_s implies f(a) <= u_t),
+    and does it reflect it (f(a) <= u_t implies a <= u_s), over every
+    source element?"""
+    u_s, u_t = t.source.bounded_top.mask, t.target.bounded_top.mask
+    pairs = [(a & ~u_s == 0, fa & ~u_t == 0) for a, fa in enumerate(t.mapping)]
+    return all(fb for b, fb in pairs if b), all(b for b, fb in pairs if fb)
+
+
+def naive_is_dense_subset(algebra, members) -> bool:
+    """Every nonzero b has a nonzero member x <= b, over every b."""
+    masks = [x.mask for x in members if x.mask]
+    return all(any(m & ~b == 0 for m in masks) for b in range(1, algebra.size))
+
+
 def naive_is_base(L, members) -> bool:
     """Density of a member set in the bounded part, by the interpolation
     reading: every bounded a << c admits a member d with a <= d <= c."""

@@ -4,7 +4,11 @@ Whole reports are compared (verdict, axiom name and first witness), for
 the contact axioms on each relation and for LC1-LC3 under every ideal
 top: all relations on at most three atoms, all reflexive symmetric
 relations on four, and a fixed sample of the other relations on four.
+A seeded sample on five atoms checks the pair laws' witnesses where the
+first failing atom is not atom 0.
 """
+
+import random
 
 import pytest
 
@@ -12,6 +16,7 @@ from contactalg import (
     AXIOM_NAMES,
     LCA_AXIOM_NAMES,
     ContactAlgebra,
+    ContactStructure,
     Element,
     LocalContactAlgebra,
     ValidationError,
@@ -22,7 +27,7 @@ from contactalg import (
     powerset_algebra,
 )
 
-from conftest import sample_not_reflexive_symmetric
+from conftest import random_reflexive_symmetric, sample_not_reflexive_symmetric
 from naive import naive_check_axiom, naive_check_lca_axiom
 
 
@@ -74,3 +79,41 @@ def test_axiom_reports_match_naive_sweeps_off_reflexive_symmetric():
     for name in ("C4", "LL1"):
         verdicts = {check_axiom(s, name).ok for s in sample}
         assert verdicts == {True, False}, name
+
+
+PAIR_LAWS = ("C4", "C5", "LL1", "LL5", "LL7", "LC1", "LC2")
+# The other seven contact axioms hold on every relation, and the tests
+# above pin them on every relation up to four atoms.
+DECIDED = ("C3", "C4", "C5", "C6", "LL1", "LL5", "LL6", "LL7")
+
+
+def test_pair_law_witnesses_on_five_atoms():
+    """100 seeded relations on five atoms, half of them reflexive
+    symmetric, each under four ideal tops. Every pair law's first
+    witness starts at an atom, and the sample holds a failure of each
+    whose atom is not atom 0."""
+    rng = random.Random(24)
+    later_atom = set()
+    for i in range(100):
+        if i % 2:
+            s = random_reflexive_symmetric(5, rng)
+        else:
+            s = ContactStructure(powerset_algebra(5), [rng.randrange(32) for _ in range(5)])
+        alg = s.algebra
+        reports = [check_axiom(s, name) for name in DECIDED]
+        for report in reports:
+            assert report == naive_check_axiom(s, report.axiom), (s.rows, report.axiom)
+        ca = ContactAlgebra(alg, s)
+        for u in [alg.full_mask] + [rng.randrange(alg.size) for _ in range(3)]:
+            L = LocalContactAlgebra(ca, Element(alg, u))
+            for name in LCA_AXIOM_NAMES:
+                report = check_lca_axiom(L, name)
+                assert report == naive_check_lca_axiom(L, name), (s.rows, u, name)
+                reports.append(report)
+        for report in reports:
+            if not report.ok and report.axiom in PAIR_LAWS:
+                a = report.witness[0].mask
+                assert a & (a - 1) == 0 != a, (s.rows, report)
+                if a > 1:
+                    later_atom.add(report.axiom)
+    assert later_atom == set(PAIR_LAWS)

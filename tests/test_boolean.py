@@ -25,7 +25,12 @@ from contactalg import (
     relative_algebra,
 )
 
-from naive import naive_first_meet_failure, naive_generated_subalgebra, naive_min_dense
+from naive import (
+    naive_first_meet_failure,
+    naive_generated_subalgebra,
+    naive_is_dense_subset,
+    naive_min_dense,
+)
 
 ALG4 = powerset_algebra(4)
 
@@ -113,6 +118,21 @@ def test_dense_subsets(b3):
     assert is_dense_subset(b3, [x for x in b3.elements() if not x.is_zero])
     # zero contributes nothing
     assert is_dense_subset(b3, atoms + [b3.zero])
+
+
+def test_dense_subsets_match_naive_sweep(b3):
+    """Every member set of every algebra of at most 3 atoms."""
+    cases = 0
+    for k in range(4):
+        alg = powerset_algebra(k)
+        elements = list(alg.elements())
+        for bits in range(1 << alg.size):
+            members = [x for x in elements if bits >> x.mask & 1]
+            assert is_dense_subset(alg, members) == naive_is_dense_subset(alg, members)
+            cases += 1
+    assert cases == 278
+    with pytest.raises(MismatchError):
+        is_dense_subset(powerset_algebra(3), list(b3.atoms()))
 
 
 def test_degenerate_dense():

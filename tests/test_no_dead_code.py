@@ -1,6 +1,6 @@
-"""Every top-level function and class of the package, and every method
-that is not a dunder, is referenced somewhere in src/, tests/, demos/ or
-bench/ outside its own definition.
+"""Every top-level function, class and assigned name of the package, and
+every method that is not a dunder, is referenced somewhere in src/,
+tests/, demos/ or bench/ outside its own definition.
 
 References are read from the syntax trees of the Python files (names,
 attributes, imported names, and strings that are identifiers, such as a
@@ -33,14 +33,21 @@ def references(tree: ast.AST) -> Counter:
 
 
 def definitions(tree: ast.Module):
-    """The top-level functions and classes, and the non-dunder methods."""
+    """The top-level functions, classes and non-dunder assigned names, and
+    the non-dunder methods, as (name, defining node) pairs."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not re.fullmatch(r"__\w+__", name.id):
+                        yield name.id, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
-                    yield member
+                    yield member.name, member
 
 
 def test_every_definition_is_referenced():
@@ -52,8 +59,9 @@ def test_every_definition_is_referenced():
             total.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in definitions(ast.parse(path.read_text(), str(path))):
-            # a reference inside the definition itself (recursion) does not count
-            if total[node.name] - references(node)[node.name] <= 0:
-                dead.append(f"{path.name}:{node.lineno} {node.name}")
+        for name, node in definitions(ast.parse(path.read_text(), str(path))):
+            # a reference inside the definition itself (recursion, or the
+            # assigned name) does not count
+            if total[name] - references(node)[name] <= 0:
+                dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, "referenced nowhere else: " + ", ".join(dead)
