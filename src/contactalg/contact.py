@@ -6,11 +6,11 @@ extension, a C b iff some atom of a is related to some atom of b. On a
 finite algebra every relation satisfying the null and additivity axioms
 (C1) and (C2) arises exactly this way. So those two hold by
 construction, and so do LL2, LL2', LL3, LL4 and LL4'. The other axioms
-are genuine properties of the matrix. A one-quantifier axiom is decided
-by one sweep over the elements. A two-quantifier axiom reads its first
-failing pair off the atoms, with no sweep over pairs. Either way the
-report is the one the definitional sweep gives. Contact transport along
-a homomorphism is decided the same way, on atom pairs.
+are genuine properties of the matrix. Each reads its first witness off
+the atoms in at most k^2 steps on k atoms, with no sweep over the 2^k
+elements, and the report is the one the definitional sweep gives.
+Connectedness is decided on the atoms too, in at most k^3 steps, and so
+is contact transport along a homomorphism, on atom pairs.
 
 The derived relation a << b ("a is well inside b") abbreviates
 not (a C b-complement). All axiom bundles and several searches are phrased
@@ -40,9 +40,10 @@ AXIOM_NAMES = (
 # Axioms that hold on every additive relation; _check_axiom_uncached says why.
 _BY_CONSTRUCTION = frozenset(("C1", "C2", "LL2", "LL2'", "LL3", "LL4", "LL4'"))
 
-# The widest axiom checks sweep the elements, 2^k of them on k atoms,
-# and read each one's reach from a 2^k table: about a thousand at the
-# limit.
+# The axiom bundles refuse algebras past this many atoms. The axioms
+# themselves are decided on the atoms, but the bundles gate the weight,
+# base and completion searches, which are exponential in the atom count:
+# the weight of the 11-atom ring takes about 27 s.
 _SWEEP_ATOM_LIMIT = 10
 
 
@@ -157,6 +158,11 @@ class ContactAlgebra:
     # Axiom bundles, memoized through the structure's axiom cache.
 
     def passes(self, *names: str) -> bool:
+        k = self.algebra.atom_count
+        if k > _SWEEP_ATOM_LIMIT:
+            raise ValidationError(
+                f"contact bundles refuse {k} atoms: the searches they gate would not terminate usefully"
+            )
         return all(check_axiom(self, n).ok for n in names)
 
     @property
@@ -203,11 +209,12 @@ def check_axiom(ca: ContactAlgebra | ContactStructure, name: str) -> AxiomReport
 
 
 def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
-    """Decide one axiom from the reach table R of the atom rows.
+    """Decide one axiom on the atom rows, in at most k^2 steps.
 
     Write R(x) for the union of the rows of x's atoms, so x C y iff
-    R(x) & y != 0 and x << y iff R(x) <= y. Seven axioms hold for every
-    such additive relation and pass with no sweep:
+    R(x) & y != 0 and x << y iff R(x) <= y; R is additive and monotone.
+    Seven axioms hold for every such additive relation and pass with no
+    sweep:
 
     - C1: R(0) = 0, and R(a) & 0 = 0.
     - C2: R(a) & (b | c) and (R(a) | R(b)) & c split over the join.
@@ -220,8 +227,7 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
     The other eight report the first witness of the definitional sweep,
     which runs its quantifiers over masks in increasing order, nested as
     in the axiom (those sweeps are kept in the test suite as oracles).
-    Each inner existential is replaced by its best candidate, using that
-    R is monotone and additive:
+    Each inner existential is replaced by its best candidate:
 
     - C5: a C-disjoint b has c with not a C c and not b C -c iff
       R(a) & R(b) = 0; take c = R(b), and any c works only if it
@@ -231,15 +237,33 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
     - LL5: a << c interpolates through some b iff it does through the
       least b with a << b, which is R(a); so iff R(R(a)) <= c.
 
-    C3, C6 and LL6 are then one sweep over the elements. C4, C5, LL1,
-    LL5 and LL7 quantify over pairs (a, b), and their first failing pair
-    is read off the atoms; an atom p in a witness below stands for the
-    mask 1 << p. Since R is additive, a failing pair holds a failing
-    atom p of a, or a failing pair of atoms p of a and q of b. A mask
-    holding bit p is at least 2^p, so the least failing a is the least
-    failing atom, and likewise for b. Where R(a) fails at a and every b
-    failing at a lies above R(a), the least b is R(a), as a mask above
-    R(a) is at least R(a) as a number.
+    Every first witness is then read off the atoms; an atom p in a
+    witness below stands for the mask 1 << p. A mask holding bit p is at
+    least 2^p, so where every failing mask holds a failing atom, the
+    least failing mask is the least failing atom. C3, C6 and LL6
+    quantify over one element a:
+
+    - C3 fails at a != 0 iff R(a) misses a. Then every atom p of a
+      misses row(p), which lies inside R(a), and {p} fails too. The
+      witness is p, the least atom not in row(p), as for LL1.
+    - LL6 fails at a != 0 iff no row lies inside a. That is down-closed
+      over nonzero masks, so the lowest atom q of a failing a fails as
+      well. The witness is q, the least atom such that no row is 0 or
+      {q}; if some row is 0, LL6 passes.
+    - C6 fails at a != 1 iff a meets every row, which is up-closed. If
+      some row is 0, C6 passes. Otherwise the first witness is the
+      least transversal T of the rows as a number, if T != 1. Up-closure
+      makes T greedy from the top bit down: bit i of T is 0 iff the bits
+      of T above i, with every bit below i, still meet every row. So
+      start from T = 1 and, for i from k - 1 down to 0, drop bit i
+      whenever T without it still meets every row.
+
+    C4, C5, LL1, LL5 and LL7 quantify over pairs (a, b). Since R is
+    additive, a failing pair holds a failing atom p of a, or a failing
+    pair of atoms p of a and q of b; the least failing a is then the
+    least failing atom, and likewise for b. Where R(a) fails at a and
+    every b failing at a lies above R(a), the least b is R(a), as a mask
+    above R(a) is at least R(a) as a number.
 
     - C4 fails at (a, b) iff some atom p of a and q of b have q in
       row(p) but not p in row(q), or the reverse: a C b reads "some atom
@@ -264,16 +288,10 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
       row(p): p lies in R(-row(p)), and (p, row(p)) fails too. The
       witness is (p, row(p)), p the least atom in R(-row(p)).
     """
-    alg = s.algebra
-    if alg.atom_count > _SWEEP_ATOM_LIMIT:
-        raise ValidationError(
-            f"axiom sweep on {alg.atom_count} atoms would not terminate usefully"
-        )
     if name in _BY_CONSTRUCTION:
         return AxiomReport(True, name)
-    size = alg.size
+    alg = s.algebra
     full = alg.full_mask
-    reach = s.closure_table()
     rows = s.rows
     atoms = range(alg.atom_count)
 
@@ -281,9 +299,9 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
         return AxiomReport(False, name, tuple(Element(alg, m) for m in masks))
 
     if name == "C3":
-        for a in range(1, size):
-            if not reach[a] & a:
-                return fail(a)
+        for p, row in enumerate(rows):
+            if not row >> p & 1:
+                return fail(1 << p)
 
     elif name == "C4":
         for p in atoms:
@@ -298,9 +316,13 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
                     return fail(1 << p, 1 << q)
 
     elif name == "C6":
-        for a in range(full):
-            if all(row & a for row in rows):
-                return fail(a)
+        if all(rows):
+            t = full
+            for i in reversed(atoms):
+                if all(row & t & ~(1 << i) for row in rows):
+                    t ^= 1 << i
+            if t != full:
+                return fail(t)
 
     elif name == "LL1":
         for p, row in enumerate(rows):
@@ -309,17 +331,18 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
 
     elif name == "LL5":
         for p, row in enumerate(rows):
-            if reach[row] & ~row:
+            if s.reach_mask(row) & ~row:
                 return fail(1 << p, row)
 
     elif name == "LL6":
-        for a in range(1, size):
-            if all(row & ~a for row in rows):
-                return fail(a)
+        if 0 not in rows:
+            for q in atoms:
+                if 1 << q not in rows:
+                    return fail(1 << q)
 
     elif name == "LL7":
         for p, row in enumerate(rows):
-            if reach[full ^ row] >> p & 1:
+            if s.reach_mask(full ^ row) >> p & 1:
                 return fail(1 << p, row)
 
     else:
@@ -328,12 +351,23 @@ def _check_axiom_uncached(s: ContactStructure, name: str) -> AxiomReport:
 
 
 def is_connected(ca: ContactAlgebra) -> bool:
-    """No element other than 0 and 1 is apart from its complement."""
+    """No element other than 0 and 1 is apart from its complement.
+
+    An element 0 < a < 1 is apart from -a iff R(a) <= a, that is iff a
+    is closed under the atom digraph p -> row(p). The set an atom p
+    reaches in that digraph, p included, is closed; and a closed a
+    holds everything reached from any of its atoms. So a proper nonzero
+    closed element exists iff some atom does not reach every atom. Each
+    reach set takes at most k rounds of reach_mask, k^3 steps in all.
+    """
     s = ca.contact
     full = ca.algebra.full_mask
-    reach = s.closure_table()
-    for a in range(1, full):
-        if reach[a] & (full ^ a) == 0:
+    for p in range(ca.algebra.atom_count):
+        seen = frontier = 1 << p
+        while frontier:
+            frontier = s.reach_mask(frontier) & ~seen
+            seen |= frontier
+        if seen != full:
             return False
     return True
 

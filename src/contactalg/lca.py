@@ -118,9 +118,10 @@ def check_lca_axiom(L: LocalContactAlgebra, name: str) -> AxiomReport:
 
     The outer quantifiers run over masks in increasing order (a over the
     bounded masks in LC1), as in the definitions, so the witness is the
-    definitional sweep's first. Write R for the reach table and u for the
-    bounded top; x << y iff R(x) <= y, and R is monotone and additive.
-    Each inner existential then reduces to one candidate:
+    definitional sweep's first. Write R(x) for the union of the rows of
+    x's atoms and u for the bounded top; x << y iff R(x) <= y, and R is
+    monotone and additive. Each inner existential then reduces to one
+    candidate:
 
     - LC1: a << b means R(a) <= b, so R(a) is the least such b, and
       b << c is monotone in b. A bounded one exists iff R(a) <= u, and
@@ -130,13 +131,22 @@ def check_lca_axiom(L: LocalContactAlgebra, name: str) -> AxiomReport:
     - LC3: a nonzero bounded b << a exists iff an atom of u does, as an
       atom of b has a smaller reach than b.
 
-    LC1 and LC2 quantify over pairs (a, b), and their first failing
-    pair is read off the atoms. Since R is additive, a failing pair
-    holds a failing atom p of a, or a failing pair of atoms p of a and q
-    of b. A mask holding bit p is at least 2^p, so the least failing a is
-    the atom of the least failing p, and likewise for b. Where R(a)
-    fails at a and every b failing at a lies above R(a), the least b is
-    R(a), as a mask above R(a) is at least R(a) as a number.
+    Every first witness is then read off the atoms. A mask holding bit p
+    is at least 2^p, so where every failing mask holds a failing atom p,
+    the least failing mask is the atom of the least failing p. LC3
+    quantifies over one element a:
+
+    - LC3 fails at a != 0 iff no row of an atom of u lies inside a. That
+      is down-closed over nonzero masks, so the lowest atom q of a
+      failing a fails as well. The witness is q, the least atom such
+      that no row of an atom of u is 0 or {q}; if one is 0, LC3 passes.
+
+    LC1 and LC2 quantify over pairs (a, b). Since R is additive, a
+    failing pair holds a failing atom p of a, or a failing pair of atoms
+    p of a and q of b; the least failing a is then the least failing
+    atom, and likewise for b. Where R(a) fails at a and every b failing
+    at a lies above R(a), the least b is R(a), as a mask above R(a) is
+    at least R(a) as a number.
 
     - LC1 fails at (a, c) iff R(a) <= c and R(a) is not below u or
       R(R(a)) is not below c. The least such c is R(a), so a bounded a
@@ -155,15 +165,15 @@ def check_lca_axiom(L: LocalContactAlgebra, name: str) -> AxiomReport:
         raise ValidationError(f"unknown axiom {name!r}")
     alg = L.algebra
     u = L.bounded_top.mask
-    reach = L.ca.contact.closure_table()
-    rows = L.ca.contact.rows
+    s = L.ca.contact
+    rows = s.rows
 
     def fail(*masks: int) -> AxiomReport:
         return AxiomReport(False, name, tuple(Element(alg, m) for m in masks))
 
     if name == "LC1":
         for p, row in enumerate(rows):
-            if u >> p & 1 and (row & ~u or reach[row] & ~row):
+            if u >> p & 1 and (row & ~u or s.reach_mask(row) & ~row):
                 return fail(1 << p, row)
     elif name == "LC2":
         for p, row in enumerate(rows):
@@ -172,9 +182,10 @@ def check_lca_axiom(L: LocalContactAlgebra, name: str) -> AxiomReport:
                 return fail(1 << p, outside & -outside)
     else:
         bounded_rows = [row for p, row in enumerate(rows) if u >> p & 1]
-        for a in range(1, alg.size):
-            if all(row & ~a for row in bounded_rows):
-                return fail(a)
+        if 0 not in bounded_rows:
+            for q in range(alg.atom_count):
+                if 1 << q not in bounded_rows:
+                    return fail(1 << q)
     return AxiomReport(True, name)
 
 
@@ -219,7 +230,9 @@ def is_dv_dense(L: LocalContactAlgebra, members: Sequence[Element]) -> bool:
     The equivalence is a theorem only for valid structures, so for those
     this also computes the interpolation form over every bounded pair
     and raises InternalInconsistencyError if the two disagree; on
-    invalid structures only the order form is used.
+    invalid structures only the order form is used. Validity is asked
+    first, so the atom limit of the contact bundles refuses an oversized
+    algebra before any 2^k table is built.
     """
     alg = L.algebra
     u = L.bounded_top.mask
@@ -230,12 +243,13 @@ def is_dv_dense(L: LocalContactAlgebra, members: Sequence[Element]) -> bool:
         if d.mask & ~u:
             raise ValidationError(f"base member {d!r} is not bounded")
         d_masks.append(d.mask)
+    valid = L.is_valid()
     order_form = all(
         any(a & ~d == 0 and d & ~c == 0 for d in d_masks)
         for a, c in _minimal_intervals(L)
     )
 
-    if L.is_valid():
+    if valid:
         reach = L.ca.contact.closure_table()
         bounded = _submasks(u)
         pairs = ((a, c) for a in bounded for c in bounded if reach[a] & ~c == 0)

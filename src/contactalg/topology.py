@@ -21,7 +21,6 @@ convert at the border.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -422,12 +421,6 @@ class SetFamily:
     def of(cls, space: FiniteSpace, *point_sets) -> "SetFamily":
         return cls(space, tuple(space.mask(s) for s in point_sets))
 
-    def union(self) -> int:
-        return _or_all(self.members)
-
-    def is_cover(self) -> bool:
-        return self.union() == self.space.full_mask
-
 
 def family_order(F: SetFamily) -> int:
     """Largest n such that some n+1 distinct members meet; -1 when the
@@ -443,54 +436,6 @@ def family_order(F: SetFamily) -> int:
         bit = 1 << p
         best = max(best, sum(1 for m in distinct if m & bit))
     return best - 1
-
-
-@dataclass(frozen=True)
-class CoverReport:
-    """How the family F stands relative to G. The indexed predicates
-    (shrinking, swelling) are None when the index sets differ."""
-
-    is_cover: bool
-    is_refinement: bool
-    is_shrinking: bool | None
-    is_swelling: bool | None
-    swelling_witness: tuple[int, ...] | None = None
-
-
-def cover_predicates(F: SetFamily, G: SetFamily) -> CoverReport:
-    if F.space != G.space:
-        raise MismatchError("families over different spaces")
-    covers = F.is_cover()
-    refinement = covers and G.is_cover() and all(
-        any(b & ~a == 0 for a in G.members) for b in F.members
-    )
-    n = len(F.members)
-    if n != len(G.members):
-        return CoverReport(covers, refinement, None, None)
-    shrinking = covers and all(b & ~a == 0 for b, a in zip(F.members, G.members))
-    # a swelling must contain what it swells, and meet exactly where it meets
-    witness = next(((i,) for i, (b, a) in enumerate(zip(F.members, G.members)) if a & ~b), None)
-    if witness is None:
-        combos = (c for r in range(1, n + 1) for c in itertools.combinations(range(n), r))
-        witness = next((c for c in combos if (_and_all(G.members[i] for i in c) == 0)
-                        != (_and_all(F.members[i] for i in c) == 0)), None)
-    return CoverReport(covers, refinement, shrinking, witness is None, witness)
-
-
-def is_shrinking_of(F: SetFamily, G: SetFamily) -> bool:
-    report = _indexed(F, G)
-    return bool(report.is_shrinking)
-
-
-def is_swelling_of(F: SetFamily, G: SetFamily) -> bool:
-    report = _indexed(F, G)
-    return bool(report.is_swelling)
-
-
-def _indexed(F: SetFamily, G: SetFamily) -> CoverReport:
-    if len(F.members) != len(G.members):
-        raise ValidationError("shrinking/swelling need equal index sets")
-    return cover_predicates(F, G)
 
 
 def dim_cl(X: FiniteSpace, n_cap: int = 3) -> int | None:
@@ -518,63 +463,6 @@ def dim_cl(X: FiniteSpace, n_cap: int = 3) -> int | None:
     maximal = tuple(u for u in ups if not any(u != v and u & ~v == 0 for v in ups))
     d = family_order(SetFamily(X, maximal))
     return d if d <= n_cap else None
-
-
-@dataclass(frozen=True)
-class RegularShrinkingReport:
-    """Dimension at most n, tested through regular covers: every regular
-    open cover of size n+2 must admit a regular closed shrinking with
-    empty total intersection. The corollary form additionally demands
-    the shrinking's interiors cover the space. within_hypotheses marks
-    the finite reading of the theorem's assumptions (normal and T1, i.e.
-    discrete); outside them the predicate is still computed but proves
-    nothing."""
-
-    holds: bool
-    corollary_holds: bool
-    within_hypotheses: bool
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def regular_shrinking_dim_check(X: FiniteSpace, n: int) -> RegularShrinkingReport:
-    if n < -1:
-        raise ValidationError("n must be at least -1")
-    size = n + 2
-    rc_sets = rc_algebra(X).regular_closed_sets()
-    ro_sets = sorted(interior(X, f) for f in rc_sets)
-
-    def shrink(cover: tuple[int, ...], need_interior_cover: bool) -> bool:
-        per_slot = [[f for f in rc_sets if f & ~u == 0] for u in cover]
-
-        def pick(i: int, covered: int, met: int, int_covered: int) -> bool:
-            if i == size:
-                return covered == X.full_mask and met == 0 and (
-                    not need_interior_cover or int_covered == X.full_mask
-                )
-            return any(
-                pick(i + 1, covered | f, met & f, int_covered | interior(X, f)) for f in per_slot[i]
-            )
-
-        return pick(0, 0, X.full_mask if size else 0, 0)
-
-    holds = corollary = True
-    for cover in itertools.combinations_with_replacement(ro_sets, size):
-        if _or_all(cover) != X.full_mask:
-            continue
-        holds = holds and shrink(cover, False)
-        corollary = corollary and shrink(cover, True)
-        if not holds and not corollary:
-            break
-    within = X.is_discrete
-    if within:
-        d = dim_cl(X, n_cap=max(n, 0))
-        if (d is not None and d <= n) != holds:
-            raise InternalInconsistencyError(
-                "regular-cover test disagrees with covering dimension on a discrete space"
-            )
-    return RegularShrinkingReport(holds, corollary, within)
 
 
 # -- cardinal invariants --

@@ -247,7 +247,9 @@ def rho_from_subalgebra(parent, members: Subalgebra) -> SubalgebraContactResult:
     everything bounded). Two theorem-level facts are asserted outright:
     a dense member set forces the full normal-contact bundle, and a
     non-dense one must break the axiom giving nonzero b well inside each
-    nonzero a.
+    nonzero a. The base and weight searches run before s_part, so an
+    algebra past the atom limit of the contact bundles is refused before
+    s_part builds its 2^k table.
     """
     if members.parent is not parent:
         raise ValidationError("subalgebra belongs to a different algebra")
@@ -263,14 +265,13 @@ def rho_from_subalgebra(parent, members: Subalgebra) -> SubalgebraContactResult:
     ca = ContactAlgebra(parent, structure)
 
     reports = tuple(check_axiom(ca, name) for name in _WAY_BELOW_AXIOMS)
-    self_below = {x.mask for x in s_part(ca)}
-    s_matches = self_below == set(member_masks)
-
     L = LocalContactAlgebra(ca, parent.one)
     member_elements = sorted(members.members, key=lambda x: x.mask)
     base_ok = is_base(L, member_elements)
     w = algebra_weight(L)
     minimum = base_ok and w.size == len(member_masks)
+    self_below = {x.mask for x in s_part(ca)}
+    s_matches = self_below == set(member_masks)
 
     dense = is_dense_subset(parent, member_elements)
     if dense:

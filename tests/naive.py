@@ -576,6 +576,13 @@ def naive_check_lca_axiom(L, name: str) -> AxiomReport:
     return AxiomReport(True, name)
 
 
+def naive_is_connected(ca: ContactAlgebra) -> bool:
+    """No element other than 0 and 1 is apart from its complement, by
+    the sweep over every element."""
+    full = ca.algebra.full_mask
+    return all(ca.contact.contact_masks(a, full ^ a) for a in range(1, full))
+
+
 @cache
 def _opens(X) -> tuple[int, ...]:
     """The open family of X in increasing order, built once per topology:

@@ -78,12 +78,56 @@ def test_atom_cap(tmp_path, capsys):
     assert code == 1
     assert "PROP C3 FAIL witness={0}" in out.splitlines()
     assert err == ""
-    # beyond 10 atoms the axiom checks refuse the input whatever the cap
+    # the axioms are decided on atoms, so check answers past 10 atoms
     bigger = algebra_path(tmp_path, "atoms: 11\n", "bigger.alg")
     code, out, err = run(capsys, "--cap-atoms", "11", "check", bigger)
+    assert code == 1
+    assert "PROP C3 FAIL witness={0}" in out.splitlines()
+    assert err == ""
+    # the weight search behind the contact bundle still refuses 11 atoms
+    code, out, err = run(capsys, "--cap-atoms", "11", "weight", bigger)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _ring_text(k: int) -> str:
+    return f"atoms: {k}\n" + "".join(f"contact: {i} {(i + 1) % k}\n" for i in range(k))
+
+
+@pytest.mark.parametrize(
+    "k, transversal",
+    [(12, "{0,3,6,9}"), (24, "{0,3,6,9,12,15,18,21}")],
+)
+def test_check_on_large_rings(tmp_path, capsys, k, transversal):
+    """Every axiom is decided on the atoms, so check runs up to the
+    24-atom algebra cap. C6's witness is the least set meeting every
+    closed neighbourhood of the ring."""
+    path = algebra_path(tmp_path, _ring_text(k), "ring.alg")
+    code, out, err = run(capsys, "--cap-atoms", "24", "check", path, "--close", "rs")
+    ends = f"{{0,1,{k - 1}}}"
+    assert out.splitlines() == [
+        "PROP C1 PASS",
+        "PROP C2 PASS",
+        "PROP C3 PASS",
+        "PROP C4 PASS",
+        "PROP C5 FAIL witness={0},{2}",
+        f"PROP C6 FAIL witness={transversal}",
+        "PROP LL1 PASS",
+        "PROP LL2 PASS",
+        "PROP LL2' PASS",
+        "PROP LL3 PASS",
+        "PROP LL4 PASS",
+        "PROP LL4' PASS",
+        f"PROP LL5 FAIL witness={{0}},{ends}",
+        "PROP LL6 FAIL witness={0}",
+        "PROP LL7 PASS",
+        f"PROP LC1 FAIL witness={{0}},{ends}",
+        "PROP LC2 PASS",
+        "PROP LC3 FAIL witness={0}",
+    ]
+    assert code == 1
+    assert err == ""
 
 
 def test_main_runs_again_after_a_usage_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from contactalg import (
     closure,
     co_algebra,
     compose_diamond,
-    cover_predicates,
     dim_cl,
     discrete_space,
     enumerate_topologies,
@@ -32,13 +31,10 @@ from contactalg import (
     is_connected_space,
     is_pi_semiregular,
     is_semiregular,
-    is_shrinking_of,
-    is_swelling_of,
     lambda_t_map,
     particular_point_space,
     pi_weight_of_space,
     rc_algebra,
-    regular_shrinking_dim_check,
     ro_algebra,
     sierpinski_space,
     stone_dual,
@@ -197,52 +193,6 @@ def test_family_order_matches_enumeration(masks):
     assert family_order(SetFamily(X, tuple(masks))) == naive_family_order(masks)
 
 
-def test_cover_predicates_shrinking():
-    X = discrete_space(3)
-    G = SetFamily.of(X, [0, 1], [1, 2])
-    F = SetFamily.of(X, [0], [1, 2])
-    report = cover_predicates(F, G)
-    assert report.is_cover and report.is_shrinking
-    assert report.is_refinement
-    assert is_shrinking_of(F, G)
-
-
-def test_cover_predicates_swelling():
-    X = discrete_space(3)
-    F = SetFamily.of(X, [0, 1], [2])
-    G = SetFamily.of(X, [0], [2])
-    report = cover_predicates(F, G)
-    assert report.is_swelling
-    # a swelling may not create new intersections: these two do meet
-    # although the originals were disjoint
-    H = SetFamily.of(X, [0, 1], [1, 2])
-    G2 = SetFamily.of(X, [0], [1])
-    report2 = cover_predicates(H, G2)
-    assert not report2.is_swelling
-    assert report2.swelling_witness == (0, 1)
-
-
-def test_cover_predicates_mismatch_is_none():
-    X = discrete_space(3)
-    F = SetFamily.of(X, [0], [1], [2])
-    G = SetFamily.of(X, [0, 1], [1, 2])
-    report = cover_predicates(F, G)
-    assert report.is_refinement
-    assert report.is_shrinking is None and report.is_swelling is None
-    with pytest.raises(ValidationError):
-        is_shrinking_of(F, G)
-    with pytest.raises(ValidationError):
-        is_swelling_of(F, G)
-
-
-def test_cover_predicates_cross_space():
-    with pytest.raises(MismatchError):
-        cover_predicates(
-            SetFamily.of(discrete_space(2), [0]),
-            SetFamily.of(discrete_space(3), [0]),
-        )
-
-
 @pytest.mark.parametrize(
     "space,expected",
     [
@@ -277,23 +227,6 @@ def test_dim_cl_circle_model():
 def test_dim_cl_irredundant_equals_unrestricted(n):
     for X in enumerate_topologies(n):
         assert dim_cl(X, n_cap=3) == naive_dim_cl(X, n_cap=3)
-
-
-def test_regular_shrinking_discrete():
-    for n in range(4):
-        report = regular_shrinking_dim_check(discrete_space(n), 0)
-        assert report.holds and report.corollary_holds
-        assert report.within_hypotheses
-
-
-def test_regular_shrinking_needs_hypotheses():
-    # outside T1 the regular-cover criterion can disagree with the
-    # covering dimension; the report says so instead of asserting
-    X = circle_model()
-    report = regular_shrinking_dim_check(X, 0)
-    assert report.holds
-    assert not report.within_hypotheses
-    assert dim_cl(X) == 1
 
 
 def test_weight_fixtures():
