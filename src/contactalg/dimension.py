@@ -22,14 +22,14 @@ relation, so one ascending table per (atoms, n+2) serves every query
 (_partitions), and a false level stops at its first failing entry.
 
 Only a pool given with dim --subset reaches the ordered sweep over
-multisets of (b, a) pairs (_first_counterexample), sound as the witness
-conditions never mention b and are symmetric in the slots, with the
-element-level witness search (_search_witness) as its test; for the
-whole algebra that search only cross-checks the reported counterexample.
-It picks the d-tuple first, pruned on the running meet and on the best
-possible c-join, then the c-tuple under join pruning. Witness verdicts
-are memoized per a-multiset, dim_leq verdicts per n, and the witness
-candidate tables once, on the query.
+multisets of (b, a) pairs whose a is minimal in D above reach(b)
+(_first_counterexample), with the element-level witness search
+(_search_witness) as its test; for the whole algebra that search only
+cross-checks the reported counterexample. It picks the d-tuple first,
+pruned on the running meet and on the best possible c-join, then the
+c-tuple under join pruning. Witness verdicts are memoized per
+a-multiset, dim_leq verdicts per n, and the witness candidate tables
+once, on the query.
 
 tests/naive.py re-implements the definition, with no pruning, and the
 suite compares verdicts and first counterexamples.
@@ -38,7 +38,6 @@ suite compares verdicts and first counterexamples.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -132,8 +131,8 @@ def dim_leq(q: DimensionQuery, n: int) -> DimVerdict:
 def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     """Decide one level. A counterexample is a multiset of k = n+2 pairs
     b_i << a_i from D whose b's join to 1 and whose a's have no witness;
-    the one reported is the least as a sorted tuple of pairs, which
-    _first_counterexample finds for a pool.
+    the one reported is the least as a sorted tuple of pairs. For a pool
+    _first_counterexample finds it among the pairs with minimal a.
 
     For D the whole algebra it is the first failing entry of
     _partitions. Two shrink steps each turn a failing multiset into a
@@ -274,46 +273,36 @@ def _atom_witness(ca: ContactAlgebra):
 def _first_counterexample(
     d_masks: tuple[int, ...], reach, full: int, k: int, witness_exists
 ) -> tuple[tuple[int, int], ...] | None:
-    """The first multiset of k (b, a) pairs, b << a drawn from a pool D,
-    whose b's join to 1 and whose a's have no witness, or None. For D the
-    whole algebra _decide takes the least failing block partition instead.
+    """The least multiset of k (b, a) pairs, b << a drawn from a pool D,
+    whose b's join to 1 and whose a's have no witness, or None (the
+    witness conditions are symmetric in the slots, so multisets suffice).
 
-    Multisets are enumerated as non-decreasing index sequences into the
-    sorted pair list. A leaf whose b's do not join to 1 is no outer tuple,
-    so the last slot visits only the pairs whose b covers full ^ b_join:
-    the pairs are grouped by b, and a group is entered only when its b
-    covers. The leaves skipped are exactly those that could not fail, so
-    the first failure found is the same as in the full enumeration.
+    Only pairs whose a is minimal in D above reach(b) are swept. If a_i is
+    not, some a' in D with reach(b_i) <= a' < a_i gives the strictly
+    smaller pair (b_i, a'). The b's are unchanged and witness existence is
+    up-closed in a_i (d << a' <= a_i gives d << a_i), so the lowered
+    multiset still fails, and its sorted tuple is strictly smaller. So the
+    least failing multiset uses minimal pairs only, and the non-decreasing
+    index sequences into the sorted minimal pairs reach it first.
     """
-    # d_masks is sorted, so the pairs come out sorted by (b, a)
-    pairs = [(b, a) for b in d_masks for a in d_masks if reach[b] & (full ^ a) == 0]
-    # the runs of equal b in pairs: run g has b = group_bs[g] and spans
-    # pairs[group_first[g]:group_first[g + 1]]
-    group_bs: list[int] = []
-    group_first: list[int] = []
-    for i, (b, _) in enumerate(pairs):
-        if not group_bs or group_bs[-1] != b:
-            group_bs.append(b)
-            group_first.append(i)
-    group_first.append(len(pairs))
+    pairs = []
+    for b in d_masks:  # d_masks is sorted, so pairs come out sorted by (b, a)
+        above = [a for a in d_masks if reach[b] & (full ^ a) == 0]
+        # a member strictly inside a is smaller as a number
+        pairs += [(b, a) for j, a in enumerate(above) if all(x & ~a for x in above[:j])]
     last = k - 1
     chosen: list[tuple[int, int]] = []
 
     def outer(slot: int, start: int, b_join: int) -> tuple[tuple[int, int], ...] | None:
-        if slot == last:
-            need = full ^ b_join
-            head = [a for _, a in chosen]
-            # a b covering need is at least need as a number
-            for g in range(bisect_left(group_bs, max(pairs[start][0], need)), len(group_bs)):
-                if group_bs[g] & need != need:
-                    continue
-                for i in range(max(group_first[g], start), group_first[g + 1]):
-                    if not witness_exists(head + [pairs[i][1]]):
-                        return tuple(chosen) + (pairs[i],)
-            return None
         for i in range(start, len(pairs)):
             chosen.append(pairs[i])
-            bad = outer(slot + 1, i, b_join | pairs[i][0])
+            joined = b_join | pairs[i][0]
+            if slot < last:
+                bad = outer(slot + 1, i, joined)
+            elif joined == full and not witness_exists(a for _, a in chosen):
+                bad = tuple(chosen)
+            else:
+                bad = None
             chosen.pop()
             if bad is not None:
                 return bad

@@ -211,6 +211,67 @@ def naive_first_meet_failure(f):
     return None
 
 
+def naive_lower_sharp(t):
+    """The lower-sharp mapping of an LcaMorphismTable: a maps to the join
+    of the images of the bounded elements well inside a, every bounded b
+    tested. Empty join is 0."""
+    src = t.source
+    alg = src.algebra
+    full = alg.full_mask
+    reach = src.ca.contact.closure_table()
+    bounded = _submasks(src.bounded_top.mask)
+    f = t.mapping
+    out = []
+    for a in range(alg.size):
+        not_a = full ^ a
+        img = 0
+        for b in bounded:
+            if reach[b] & not_a == 0:
+                img |= f[b]
+        out.append(img)
+    return tuple(out)
+
+
+def naive_check_dhlc_morphism(t) -> AxiomReport:
+    """Check DLC1 through DLC5 in order, each by the sweep of its
+    definition; first failure wins.
+
+    DLC1 zero preservation, DLC2 binary meets, DLC3 transport of the
+    well-inside relation through complements, DLC4 every bounded target
+    element sits under the image of a bounded source element, DLC5 the
+    map equals its own lower-sharp.
+    """
+    src, tgt = t.source, t.target
+    f = t.mapping
+    s_alg, t_alg = src.algebra, tgt.algebra
+    s_full, t_full = s_alg.full_mask, t_alg.full_mask
+    s_reach = src.ca.contact.closure_table()
+    t_reach = tgt.ca.contact.closure_table()
+
+    if f[0] != 0:
+        return AxiomReport(False, "DLC1", (s_alg.zero,))
+    bad = naive_first_meet_failure(f)
+    if bad is not None:
+        return AxiomReport(False, "DLC2", tuple(Element(s_alg, m) for m in bad))
+    s_bounded = _submasks(src.bounded_top.mask)
+    for a in s_bounded:
+        fa_star_star = t_full ^ f[a ^ s_full]
+        not_reach = t_reach[fa_star_star]
+        for b in range(s_alg.size):
+            if s_reach[a] & (s_full ^ b) == 0:  # a << b in the source
+                if not_reach & (t_full ^ f[b]) != 0:
+                    return AxiomReport(False, "DLC3", (Element(s_alg, a), Element(s_alg, b)))
+    t_bounded = _submasks(tgt.bounded_top.mask)
+    for b in t_bounded:
+        if not any(b & ~f[a] == 0 for a in s_bounded):
+            return AxiomReport(False, "DLC4", (Element(t_alg, b),))
+    sharp = naive_lower_sharp(t)
+    for a in range(s_alg.size):
+        if f[a] != sharp[a]:
+            return AxiomReport(False, "DLC5", (Element(s_alg, a),))
+    return AxiomReport(True, "DLC1-DLC5")
+
+
 def naive_generated_subalgebra(full: int, generators) -> set[int]:
     """The masks of the subalgebra generated inside the power set with
     top full: close 0, full and the generators under complement and

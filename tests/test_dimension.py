@@ -1,7 +1,7 @@
 import random
 import time
 import warnings
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -351,18 +351,92 @@ def sample_pools(count, seed):
         yield ContactAlgebra(alg, s), sorted(pool)
 
 
-def test_pool_verdicts_and_counterexamples_match_oracle():
+def graph_pools(count, k, members, seed, edge_chances=(0.15, 0.2, 0.25, 0.3)):
+    """Random graphs on k atoms, each edge chance drawn from edge_chances,
+    each with a pool of 0, 1 and members - 2 random other elements."""
+    rng = random.Random(seed)
+    alg = powerset_algebra(k)
+    for _ in range(count):
+        chance = rng.choice(edge_chances)
+        rows = [1 << i for i in range(k)]
+        for i, j in combinations(range(k), 2):
+            if rng.random() < chance:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        pool = {0, alg.full_mask} | set(rng.sample(range(1, alg.full_mask), members - 2))
+        yield ContactAlgebra(alg, ContactStructure(alg, rows)), sorted(pool)
+
+
+def pool_oracle_levels(cases, levels):
+    """Compare whole verdicts with the naive pool sweep; return the
+    verdicts seen."""
     seen = set()
-    for ca, pool in sample_pools(60, seed=7):
+    for ca, pool in cases:
         # one query for every level, so they share its candidate tables
-        q = DimensionQuery(ca, tuple(ca.algebra.element(m) for m in pool), 2)
-        for n in (0, 1, 2):
+        q = DimensionQuery(ca, tuple(ca.algebra.element(m) for m in pool), max(levels))
+        for n in levels:
             bad = naive_pool_first_counterexample(ca, pool, n)
             expected = (True, (), ()) if bad is None else (False, *bad)
             verdict = verdict_masks(dim_leq(q, n))
             assert verdict == expected, (ca.contact.rows, pool, n)
             seen.add(verdict[0])
-    assert seen == {True, False}
+    return seen
+
+
+def test_pool_verdicts_and_counterexamples_match_oracle():
+    assert pool_oracle_levels(sample_pools(60, seed=7), (0, 1, 2)) == {True, False}
+    assert pool_oracle_levels(graph_pools(30, 5, 10, seed=5), (0, 1)) == {True, False}
+    assert pool_oracle_levels(graph_pools(30, 6, 12, seed=6), (0, 1)) == {True, False}
+
+
+# Eight 22-member pools on 6-atom graphs (graph_pools(8, 6, 22, seed=1,
+# edge_chances=(0.2, 0.3, 0.4))): the rows, then the verdict, a-tuple and
+# b-tuple at n = 0..3, recorded from the sweep over every (b, a) pair.
+HOLDS = (True, (), ())
+POOLS_22 = [
+    ((25, 2, 4, 9, 17, 32), [
+        HOLDS,
+        (False, (15, 25, 34), (14, 25, 34)),
+        (False, (0, 15, 25, 34), (0, 14, 25, 34)),
+        (False, (0, 0, 15, 25, 34), (0, 0, 14, 25, 34)),
+    ]),
+    ((1, 2, 12, 28, 24, 32), [
+        (False, (46, 61), (38, 61)),
+        (False, (0, 46, 61), (0, 38, 61)),
+        (False, (0, 0, 46, 61), (0, 0, 38, 61)),
+        (False, (0, 0, 0, 46, 61), (0, 0, 0, 38, 61)),
+    ]),
+    ((35, 3, 44, 28, 24, 37), [HOLDS] * 4),
+    ((1, 34, 20, 8, 20, 34), [HOLDS] * 4),
+    ((1, 38, 30, 60, 28, 42), [
+        HOLDS,
+        (False, (61, 31, 46), (8, 21, 34)),
+        (False, (0, 61, 31, 46), (0, 8, 21, 34)),
+        (False, (0, 0, 61, 31, 46), (0, 0, 8, 21, 34)),
+    ]),
+    ((25, 10, 60, 47, 21, 44), [HOLDS] * 4),
+    ((7, 3, 53, 40, 20, 44), [HOLDS] * 4),
+    ((23, 39, 31, 44, 53, 58), [HOLDS] * 4),
+]
+
+
+def test_twenty_two_member_pools_keep_their_verdicts():
+    cases = graph_pools(8, 6, 22, seed=1, edge_chances=(0.2, 0.3, 0.4))
+    for (ca, pool), (rows, expected) in zip(cases, POOLS_22, strict=True):
+        assert ca.contact.rows == rows
+        q = DimensionQuery(ca, tuple(ca.algebra.element(m) for m in pool), 3)
+        assert [verdict_masks(dim_leq(q, n)) for n in range(4)] == expected, rows
+
+
+def test_pool_counterexample_takes_a_minimal_a_that_is_not_the_least():
+    # reach(12) = 6 lies below the pool members 7 and 14, both minimal
+    # there; the least failing multiset at n = 1 pairs 12 with 14
+    alg = powerset_algebra(4)
+    ca = ContactAlgebra(alg, ContactStructure(alg, [2, 1, 0, 6]))
+    pool = [0, 1, 2, 5, 7, 9, 10, 12, 14, 15]
+    assert pool_oracle_levels([(ca, pool)], (0, 1, 2)) == {True, False}
+    q = DimensionQuery(ca, tuple(alg.element(m) for m in pool), 1)
+    assert verdict_masks(dim_leq(q, 1)) == (False, (2, 1, 14), (1, 2, 12))
 
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)  # OEIS A000110

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from contactalg import (
     ContactAlgebra,
+    ContactStructure,
     Element,
     LcaMorphismTable,
     LocalContactAlgebra,
@@ -24,6 +26,8 @@ from contactalg import (
     product_lca,
     relative_lca,
 )
+
+from naive import naive_check_dhlc_morphism, naive_lower_sharp
 
 
 def overlap_lca(k: int) -> LocalContactAlgebra:
@@ -255,3 +259,44 @@ def test_relative_bounded_top():
     rel = relative_lca(L, alg.element(0b110))
     # atoms of m are renumbered 0..; the surviving bounded atom is atom 1
     assert rel.lca.bounded_top.mask == 0b01
+
+
+def random_lca(rng, k, reflexive_symmetric):
+    alg = powerset_algebra(k)
+    rows = [rng.randrange(alg.size) for _ in range(k)]
+    if reflexive_symmetric:
+        rows = [row | 1 << p for p, row in enumerate(rows)]
+        rows = [row | sum(1 << q for q in range(k) if rows[q] >> p & 1) for p, row in enumerate(rows)]
+    ca = ContactAlgebra(alg, ContactStructure(alg, rows))
+    return LocalContactAlgebra(ca, alg.element(rng.randrange(alg.size)))
+
+
+def meet_preserving_table(rng, source, target):
+    """A table with f(0) = 0 that keeps binary meets: each target atom q
+    lies in f(a) iff a is above a nonzero source mask low_q, or never."""
+    lows = [rng.randrange(source.algebra.size) for _ in range(target.algebra.atom_count)]
+    return tuple(
+        sum(1 << q for q, low in enumerate(lows) if low and low & ~a == 0)
+        for a in range(source.algebra.size)
+    )
+
+
+def test_dhlc_laws_and_lower_sharp_match_naive_sweeps():
+    # seeded pairs of structures on 1-3 atoms, every other one reflexive
+    # and symmetric; one meet-preserving table with f(0) = 0 and one
+    # arbitrary table per pair
+    rng = random.Random(30)
+    seen = set()
+    for i in range(3000):
+        source = random_lca(rng, rng.randint(1, 3), i % 2)
+        target = random_lca(rng, rng.randint(1, 3), i % 2)
+        arbitrary = tuple(rng.randrange(target.algebra.size) for _ in range(source.algebra.size))
+        for f in (meet_preserving_table(rng, source, target), arbitrary):
+            t = LcaMorphismTable(source, target, f)
+            report, expected = check_dhlc_morphism(t), naive_check_dhlc_morphism(t)
+            assert (report.ok, report.axiom, report.witness) == (
+                expected.ok, expected.axiom, expected.witness
+            ), (source, target, f)
+            assert lower_sharp(t).mapping == naive_lower_sharp(t), (source, target, f)
+            seen.add(report.axiom)
+    assert seen == {"DLC1", "DLC2", "DLC3", "DLC4", "DLC5", "DLC1-DLC5"}

@@ -1,6 +1,7 @@
 """Every top-level function, class and assigned name of the package, and
 every method that is not a dunder, is referenced somewhere in src/,
-tests/, demos/ or bench/ outside its own definition.
+tests/, demos/ or bench/ outside its own definition, and every
+module-level import of a package module is used in that module.
 
 References are read from the syntax trees of the Python files (names,
 attributes, imported names, and strings that are identifiers, such as a
@@ -65,3 +66,26 @@ def test_every_definition_is_referenced():
             if total[name] - references(node)[name] <= 0:
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, "referenced nowhere else: " + ", ".join(dead)
+
+
+def imported_names(tree: ast.Module):
+    """The names bound by the module-level imports, with their nodes;
+    from __future__ binds none."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {name}" for name, node in imported_names(tree) if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)
