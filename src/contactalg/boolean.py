@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import MismatchError, ValidationError
 
@@ -50,10 +49,6 @@ class FiniteBooleanAlgebra:
     @property
     def size(self) -> int:
         return 1 << self.atom_count
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.atom_count == 0
 
     def element(self, mask: int) -> "Element":
         """Wrap a bitmask as an element of this algebra."""
@@ -146,43 +141,12 @@ class Element:
     def is_one(self) -> bool:
         return self.mask == self.algebra.full_mask
 
-    @property
-    def is_atom(self) -> bool:
-        return self.mask != 0 and self.mask & (self.mask - 1) == 0
-
     def atom_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.algebra.atom_count) if self.mask >> i & 1)
 
     def __repr__(self) -> str:
         inner = ",".join(str(i) for i in self.atom_indices())
         return "{" + inner + "}"
-
-
-_BINARY_OPS: dict[str, Callable[[Element, Element], object]] = {
-    "join": lambda a, b: a | b,
-    "meet": lambda a, b: a & b,
-    "symdiff": lambda a, b: a ^ b,
-    "leq": lambda a, b: a <= b,
-}
-
-
-def boolean_operation(op: str, a: Element, b: Element | None = None):
-    """Dispatch join/meet/complement/symdiff/leq by name.
-
-    The operators on Element are the normal API; this exists for callers
-    that receive the operation name as data (the CLI, generic law tests).
-    """
-    if op == "complement":
-        if b is not None:
-            raise ValidationError("complement is unary")
-        return ~a
-    try:
-        fn = _BINARY_OPS[op]
-    except KeyError:
-        raise ValidationError(f"unknown operation {op!r}") from None
-    if b is None:
-        raise ValidationError(f"{op} is binary")
-    return fn(a, b)
 
 
 @dataclass(frozen=True)
@@ -476,33 +440,49 @@ def _unions(masks) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=16)
-def _partitions(atom_count: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _partitions(atom_count: int, k: int) -> Iterator[tuple[int, ...]]:
     """Every partition of the atoms into at most k blocks, as its sorted
     block masks padded with leading 0s to length k, in ascending order.
 
-    The table does not depend on any relation, so it is built once per
-    (atoms, k) and shared by every dimension query and all_subalgebras.
-    Its length is the sum of the Stirling numbers of the second kind
-    S(atom_count, j) for j <= k: 3,845 entries on 8 atoms at k = 5,
-    86,472 on 10.
+    The order is derived, not sorted. A tuple of j blocks has k - j
+    leading 0s, so every tuple of j blocks precedes every tuple of j + 1
+    blocks, and within j the tuples compare block by block. Disjoint
+    nonzero masks compare as their top bits do, so the blocks of one
+    partition ascend by top bit. The least block is walked first, through
+    the submasks of the rest in ascending order; the next block must then
+    start above its top bit, and the tail is walked the same way. Walking
+    a block upward never lowers its top bit, and the j - 1 blocks after
+    it each need an atom of the rest above that top bit, so as soon as
+    fewer than j - 1 such atoms are left no later block can lead a
+    partition either, and the walk stops there. Every block it does try
+    leads at least one partition, so the walk never backs out empty.
+
+    Nothing is stored: the first tuple costs O(k) steps on any atom
+    count. There are S(atom_count, j) tuples of j blocks (Stirling
+    numbers of the second kind): 3,845 in all on 8 atoms at k = 5.
     """
-    table: list[tuple[int, ...]] = []
-    blocks: list[int] = []
+    full = (1 << atom_count) - 1
+    if not full:
+        yield (0,) * k
+        return
+    for j in range(1, min(k, atom_count) + 1):
+        yield from _blocks((0,) * (k - j), full, j, full)
 
-    def place(p: int) -> None:
-        if p == atom_count:
-            table.append((0,) * (k - len(blocks)) + tuple(sorted(blocks)))
+
+def _blocks(head: tuple[int, ...], rest: int, j: int, above: int) -> Iterator[tuple[int, ...]]:
+    """head extended by every ascending tuple of j blocks that partition
+    rest and whose least block is at least the lowest bit of above."""
+    if j == 1:
+        yield head + (rest,)
+        return
+    block = above & -above
+    while block:
+        top = block.bit_length()
+        if (rest >> top).bit_count() < j - 1:
             return
-        bit = 1 << p
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            place(p + 1)
-            blocks[j] ^= bit
-        if len(blocks) < k:
-            blocks.append(bit)
-            place(p + 1)
-            blocks.pop()
-
-    place(0)
-    return tuple(sorted(table))
+        left = rest ^ block
+        if j == 2:  # the last level, inlined: every tuple passes through it
+            yield head + (block, left)
+        else:
+            yield from _blocks(head + (block,), left, j - 1, left >> top << top)
+        block = (block - rest) & rest

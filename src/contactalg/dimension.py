@@ -11,28 +11,29 @@ additive extension, so reach(x), the union of the rows of the atoms of
 x, is additive, and y << x iff reach(y) <= x iff y <= I(x), where
 I(x) = {p : row(p) <= x} is the largest element well inside x.
 
-When D is the whole algebra every quantifier is taken over atoms. A
-witness for an a-tuple is an assignment of atoms to slots
-(_atom_witness), and both verdicts are decided over the partitions c of
-the atoms into at most n+2 blocks: the level holds iff every tuple
-(reach(c_i)) has a witness, and otherwise the least failing partition is
-the first counterexample (proof in _decide). Sorted pair tuples
-(c_i, reach(c_i)) compare as the padded block tuples do, whatever the
-relation, so one ascending table per (atoms, n+2) serves every query
-(_partitions), and a false level stops at its first failing entry.
+When D is the whole algebra every quantifier is taken over atoms, and
+the query holds no element of D. A witness for an a-tuple is an
+assignment of atoms to slots (_atom_witness), and both verdicts are
+decided over the partitions c of the atoms into at most n+2 blocks: the
+level holds iff every tuple (reach(c_i)) has a witness, and otherwise
+the least failing partition is the first counterexample (proof in
+_decide). Sorted pair tuples (c_i, reach(c_i)) compare as the padded
+block tuples do, whatever the relation, so the partitions are generated
+in that ascending order (_partitions), each block's reach is read off the
+atom rows, and a false level stops at its first failing partition.
 
-Only a pool given with dim --subset reaches the ordered sweep over
-multisets of (b, a) pairs whose a is minimal in D above reach(b)
+A pool given with dim --subset takes the ordered sweep over multisets of
+(b, a) pairs whose a is minimal in D above reach(b)
 (_first_counterexample), with the element-level witness search
-(_search_witness) as its test; for the whole algebra that search only
-cross-checks the reported counterexample. It picks the d-tuple first,
-pruned on the running meet and on the best possible c-join, then the
-c-tuple under join pruning. Witness verdicts are memoized per
-a-multiset, dim_leq verdicts per n, and the witness candidate tables
-once, on the query.
+(_search_witness) as its test. It picks the d-tuple first, pruned on the
+running meet and on the best possible c-join, then the c-tuple under
+join pruning. Witness verdicts are memoized per a-multiset, dim_leq
+verdicts per n, and the witness candidate tables once, on the query.
 
 tests/naive.py re-implements the definition, with no pruning, and the
-suite compares verdicts and first counterexamples.
+suite compares verdicts and first counterexamples, and checks with
+_search_witness that each reported whole-algebra counterexample has no
+element-level witness.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Sequence
 
 from .boolean import Element, _or_all, _partitions
 from .contact import ContactAlgebra
-from .errors import InternalInconsistencyError, MismatchError, ValidationError
+from .errors import MismatchError, ValidationError
 from .lca import LocalContactAlgebra, _interpolated, _minimal_intervals, nca_as_lca, relative_lca
 
 
@@ -52,15 +53,18 @@ from .lca import LocalContactAlgebra, _interpolated, _minimal_intervals, nca_as_
 class DimensionQuery:
     """A contact algebra, a witness pool D containing 0 and 1, and a cap.
 
-    masks holds the sorted distinct masks of D. Members whose masks are
-    already strictly increasing are kept as given; otherwise they are
-    rebuilt in that order.
+    members None makes D the whole algebra, and the query then holds no
+    element and no mask of it. For a given pool, masks holds the sorted
+    distinct masks of D; members whose masks are already strictly
+    increasing are kept as given, otherwise they are rebuilt in that
+    order. A pool that lists every element is decided as the whole
+    algebra is.
     """
 
     ca: ContactAlgebra
-    members: tuple[Element, ...]
+    members: tuple[Element, ...] | None
     n_cap: int = 3
-    masks: tuple[int, ...] = field(init=False, repr=False)
+    masks: tuple[int, ...] | None = field(init=False, repr=False)
     # witness verdicts keyed by sorted a-tuple, DimVerdicts by ("verdict", n),
     # and the witness candidate tables of _search_witness by "candidates"
     _inner_memo: dict = field(default_factory=dict, compare=False, repr=False)
@@ -68,6 +72,9 @@ class DimensionQuery:
     def __post_init__(self):
         if self.n_cap < -1:
             raise ValidationError(f"dimension cap must be at least -1, got {self.n_cap}")
+        if self.members is None:
+            object.__setattr__(self, "masks", None)
+            return
         alg = self.ca.algebra
         if any(x.algebra is not alg for x in self.members):
             raise MismatchError("D contains an element of a different algebra")
@@ -82,9 +89,7 @@ class DimensionQuery:
 
 def query(ca: ContactAlgebra, members: Sequence[Element] | None = None, n_cap: int = 3) -> DimensionQuery:
     """Build a DimensionQuery; D defaults to the whole algebra."""
-    if members is None:
-        members = ca.algebra.elements()
-    return DimensionQuery(ca, tuple(members), n_cap)
+    return DimensionQuery(ca, None if members is None else tuple(members), n_cap)
 
 
 def lca_query(L: LocalContactAlgebra, n_cap: int = 3) -> DimensionQuery:
@@ -153,20 +158,23 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     (0, reach(0)) = (0, 0); each such tuple is an outer one. Within one
     partition the nonzero blocks are distinct, and a pair's reach is a
     function of its block, so two sorted pair tuples compare as their
-    padded block tuples do, whatever the relation. _partitions lists
-    those in ascending order, so the first entry with no witness is the
+    padded block tuples do, whatever the relation. _partitions yields
+    those in ascending order, so the first one with no witness is the
     least failing partition: a false level stops there, and a true level
-    checks every entry. The element-level _search_witness cross-checks
-    the one reported.
+    checks every one. Each block's reach is read off the atom rows once
+    per level.
     """
     alg = q.ca.algebra
     if n == -1:
         return DimVerdict(alg.size == 1, n)
     k = n + 2
     full = alg.full_mask
-    reach = q.ca.contact.closure_table()
-    whole = len(q.masks) == alg.size
-    search = _atom_witness(q.ca) if whole else partial(_search_witness, q, reach, full)
+    whole = q.masks is None or len(q.masks) == alg.size
+    if whole:
+        search = _atom_witness(q.ca)
+    else:
+        reach = q.ca.contact.closure_table()
+        search = partial(_search_witness, q, reach, full)
 
     def witness_exists(a_list) -> bool:
         key = tuple(sorted(a_list))
@@ -177,14 +185,18 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
 
     if whole:
         bad = None
+        reach_mask = q.ca.contact.reach_mask
+        reaches: dict[int, int] = {}
         for blocks in _partitions(alg.atom_count, k):
-            if not witness_exists(reach[c] for c in blocks):
-                bad = tuple((c, reach[c]) for c in blocks)
+            a_list = []
+            for c in blocks:
+                r = reaches.get(c)
+                if r is None:
+                    r = reaches[c] = reach_mask(c)
+                a_list.append(r)
+            if not witness_exists(a_list):
+                bad = tuple(zip(blocks, a_list))
                 break
-        if bad and _search_witness(q, reach, full, tuple(a for _, a in bad)):
-            raise InternalInconsistencyError(
-                f"dim_leq({n}): the least failing partition has an element-level witness"
-            )
     else:
         bad = _first_counterexample(q.masks, reach, full, k, witness_exists)
     if bad is None:
@@ -220,9 +232,8 @@ def _atom_witness(ca: ContactAlgebra):
     """
     rows = ca.contact.rows
     full = ca.algebra.full_mask
-    reach = ca.contact.closure_table()
     # row(p) <= I(a) iff reach(row(p)) <= a
-    row_reach = [reach[r] for r in rows]
+    row_reach = [ca.contact.reach_mask(r) for r in rows]
     atoms = range(len(rows))
 
     def exists(a_multiset: tuple[int, ...]) -> bool:

@@ -145,10 +145,6 @@ class FiniteSpace:
     def is_discrete(self) -> bool:
         return all(up == 1 << p for p, up in enumerate(self.neighborhoods))
 
-    def minimal_neighborhood(self, point: int) -> int:
-        """Smallest open set containing the point."""
-        return self.neighborhoods[point]
-
 
 def interior(X: FiniteSpace, mask: int) -> int:
     """The points p with U_p inside the set. Each such U_p is open and
@@ -563,11 +559,6 @@ def lambda_t_map(
     return table
 
 
-def stone_dual(B: FiniteBooleanAlgebra) -> FiniteSpace:
-    """The dual space of a finite algebra: discrete on its atoms."""
-    return discrete_space(B.atom_count)
-
-
 def _components(X: FiniteSpace) -> list[int]:
     """The connected components of the preorder, merging p with each q in U_p.
 
@@ -590,11 +581,6 @@ def _components(X: FiniteSpace) -> list[int]:
 
 def clopen_sets(X: FiniteSpace) -> list[int]:
     return sorted(_unions(_components(X)))
-
-
-def co_algebra(X: FiniteSpace) -> FiniteBooleanAlgebra:
-    """Abstract algebra of the clopen sets: its atoms are the components."""
-    return powerset_algebra(len(_components(X)))
 
 
 def is_connected_space(X: FiniteSpace) -> bool:

@@ -75,6 +75,32 @@ def naive_dim(ca: ContactAlgebra, members, n_cap: int):
     return None
 
 
+def naive_partitions(atom_count: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every partition of the atoms into at most k blocks, as its sorted
+    block masks padded with leading 0s to length k, in ascending order:
+    each atom joins an open block or opens a new one, and the whole list
+    is sorted at the end."""
+    table: list[tuple[int, ...]] = []
+    blocks: list[int] = []
+
+    def place(p: int) -> None:
+        if p == atom_count:
+            table.append((0,) * (k - len(blocks)) + tuple(sorted(blocks)))
+            return
+        bit = 1 << p
+        for j in range(len(blocks)):
+            blocks[j] |= bit
+            place(p + 1)
+            blocks[j] ^= bit
+        if len(blocks) < k:
+            blocks.append(bit)
+            place(p + 1)
+            blocks.pop()
+
+    place(0)
+    return tuple(sorted(table))
+
+
 def naive_first_counterexample(ca: ContactAlgebra, n: int):
     """The first violation of "dimension at most n" with D the whole
     algebra, as (a_masks, b_masks) in the engine's order, or None when the

@@ -13,7 +13,6 @@ from contactalg import (
     ValidationError,
     all_homomorphisms,
     all_subalgebras,
-    boolean_operation,
     check_dhlc_morphism,
     check_homomorphism,
     extremal_relation,
@@ -46,7 +45,6 @@ def elements():
 def test_sizes_and_degenerate():
     assert powerset_algebra(0).size == 1
     assert powerset_algebra(3).size == 8
-    assert powerset_algebra(0).is_degenerate
     zero_alg = powerset_algebra(0)
     assert zero_alg.zero == zero_alg.one
 
@@ -61,8 +59,6 @@ def test_element_basics(b3):
     x = b3.element(0b101)
     assert x.atom_indices() == (0, 2)
     assert (~x).mask == 0b010
-    assert x.is_atom is False
-    assert b3.element(0b100).is_atom
     assert repr(x) == "{0,2}"
 
 
@@ -82,18 +78,6 @@ def test_lattice_laws(x, y, z):
     assert (x <= y) == (x & y == x)
 
 
-@given(elements(), elements())
-def test_operation_dispatch(x, y):
-    assert boolean_operation("join", x, y) == x | y
-    assert boolean_operation("meet", x, y) == x & y
-    assert boolean_operation("complement", x) == ~x
-
-
-def test_operation_dispatch_unknown(b3):
-    with pytest.raises(ValidationError):
-        boolean_operation("nand", b3.zero, b3.one)
-
-
 def test_relative_algebra_roundtrip(b3):
     u = b3.element(0b011)
     rel = relative_algebra(b3, u)
@@ -108,7 +92,7 @@ def test_relative_algebra_roundtrip(b3):
 
 def test_relative_algebra_degenerate(b3):
     rel = relative_algebra(b3, b3.zero)
-    assert rel.algebra.is_degenerate
+    assert rel.algebra.atom_count == 0
 
 
 def test_dense_subsets(b3):

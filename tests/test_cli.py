@@ -402,11 +402,11 @@ def test_negative_dimension_cap_is_refused(tmp_path, capsys):
 
 
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
-    from contactalg import dimension
+    from contactalg import topology
 
-    # an element search that finds a witness for the least failing partition
-    monkeypatch.setattr(dimension, "_search_witness", lambda *args: True)
-    code, out, err = run(capsys, "dim", algebra_path(tmp_path), "--close", "rs", "--max-n", "1")
+    # an isomorphism check that rejects the closure map of the regular open build
+    monkeypatch.setattr(topology, "is_ca_isomorphism", lambda *args: False)
+    code, out, err = run(capsys, "space", "ro", algebra_path(tmp_path, SIERPINSKI_TEXT, "s.space"))
     assert code == 3
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("internal error: dim_leq(0)")
+    assert err == "internal error: closure map is not an isomorphism of contact algebras\n"

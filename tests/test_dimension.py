@@ -32,6 +32,7 @@ from naive import (
     naive_dim_leq,
     naive_first_counterexample,
     naive_is_way_below_dense,
+    naive_partitions,
     naive_pool_first_counterexample,
 )
 
@@ -218,9 +219,16 @@ def test_relative_monotonicity_rejects_zero(c6):
 
 
 def test_lca_query_pools(c6):
+    # D is the whole carrier, not the bounded elements plus 1: the levels
+    # fail as they do on the whole algebra, where the bounded pool holds
     L = LocalContactAlgebra(c6, c6.algebra.element(0b000111))
     plain = lca_query(L, 1)
-    assert plain.masks == tuple(range(c6.algebra.size))
+    whole = query(c6, None, 1)
+    bounded = DimensionQuery(c6, tuple(L.bounded_elements() + [c6.algebra.one]), 1)
+    for n in (-1, 0, 1):
+        assert verdict_masks(dim_leq(plain, n)) == verdict_masks(dim_leq(whole, n))
+    assert dim_a(plain, scan_to_cap=True).verdicts == ((-1, False), (0, False), (1, False))
+    assert dim_a(bounded, scan_to_cap=True).verdicts == ((-1, False), (0, True), (1, True))
 
 
 def test_bounded_pool_holds_at_every_level():
@@ -450,21 +458,17 @@ def stirling2(m, j):
 
 
 def test_partition_table():
-    assert dimension._partitions.cache_info().maxsize is not None
-    assert len(dimension._partitions(8, 5)) == 3845
+    assert sum(1 for _ in dimension._partitions(8, 5)) == 3845
     for m, bell in enumerate(BELL):
-        assert len(dimension._partitions(m, m + 1)) == bell
-        for k in range(1, m + 1):
-            table = dimension._partitions(m, k)
+        assert sum(1 for _ in dimension._partitions(m, m + 1)) == bell
+        for k in range(1, 7):
+            table = list(dimension._partitions(m, k))
+            assert table == list(naive_partitions(m, k)), (m, k)
             assert len(table) == sum(stirling2(m, j) for j in range(k + 1)), (m, k)
-            assert all(x < y for x, y in zip(table, table[1:])), (m, k)
-            for blocks in table:
-                assert len(blocks) == k
-                union = 0
-                for c in blocks:
-                    assert c & union == 0, (m, k, blocks)
-                    union |= c
-                assert union == (1 << m) - 1, (m, k, blocks)
+    # nothing is built ahead: the first partition of 24 atoms comes at once
+    start = time.perf_counter()
+    assert next(dimension._partitions(24, 5)) == (0, 0, 0, 0, (1 << 24) - 1)
+    assert time.perf_counter() - start < 0.05
 
 
 # The slowest known graphs for dim --scan --max-n 3 while false levels
@@ -512,10 +516,15 @@ def test_slow_eight_atom_row_through_the_cli(tmp_path, capsys):
     assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
+def every_element(ca):
+    """The whole algebra as an explicit pool, for the element-level search."""
+    return DimensionQuery(ca, tuple(ca.algebra.elements()))
+
+
 def test_atom_witness_matches_pool_engine():
     for ca in every_algebra(range(4), reflexive_symmetric=False):
         alg = ca.algebra
-        q = query(ca)
+        q = every_element(ca)
         reach = ca.contact.closure_table()
         on_atoms = dimension._atom_witness(ca)
         for slots in (2, 3):
@@ -531,7 +540,7 @@ def test_atom_witness_when_every_branch_fails():
     alg = powerset_algebra(4)
     ca = ContactAlgebra(alg, ContactStructure(alg, [0b0101, 0b1001, 0b0100, 0b0110]))
     a = (0b0111, 0b1101)
-    assert not dimension._search_witness(query(ca), ca.contact.closure_table(), alg.full_mask, a)
+    assert not dimension._search_witness(every_element(ca), ca.contact.closure_table(), alg.full_mask, a)
     assert not dimension._atom_witness(ca)(a)
 
 
@@ -543,3 +552,71 @@ def test_pools_keep_the_element_search(c6, monkeypatch):
     q = arc_query(c6)
     assert dim_leq(q, 0)
     assert not dim_leq(q, 1)
+
+
+def test_whole_algebra_counterexamples_have_no_element_witness():
+    # every graph on 1 to 5 atoms: the a-tuple reported at each false
+    # level has no witness in the element-level search over every element
+    false_levels = 0
+    for ca in every_algebra(range(1, 6), reflexive_symmetric=True):
+        alg = ca.algebra
+        q = query(ca, None, 2)
+        pool = every_element(ca)
+        reach = ca.contact.closure_table()
+        for n in (0, 1, 2):
+            v = dim_leq(q, n)
+            if not v:
+                a = tuple(x.mask for x in v.a_tuple)
+                assert not dimension._search_witness(pool, reach, alg.full_mask, a), (ca.contact.rows, n)
+                false_levels += 1
+    assert false_levels == 1_498
+
+
+def ring(k):
+    """The k-atom ring: each atom in contact with itself and its two neighbours."""
+    alg = powerset_algebra(k)
+    rows = [1 << p | 1 << (p + 1) % k | 1 << (p - 1) % k for p in range(k)]
+    return ContactAlgebra(alg, ContactStructure(alg, rows))
+
+
+def ring_path(tmp_path, k):
+    path = tmp_path / f"ring{k}.alg"
+    path.write_text(f"atoms: {k}\n" + "".join(f"contact: {p} {(p + 1) % k}\n" for p in range(k)))
+    return str(path)
+
+
+# dim on the 12-atom ring, recorded while the partitions came from a
+# sorted table and every counterexample was checked element by element
+RING12_LINES = [
+    "dim_leq(-1) = false",
+    "dim_leq(0) = false counterexample a={0,1,2,3,11};{0,2,3,4,5,6,7,8,9,10,11} b={0,1,2};{3,4,5,6,7,8,9,10,11}",
+    "dim_leq(1) = false counterexample a={};{0,1,2,3,11};{0,2,3,4,5,6,7,8,9,10,11} b={};{0,1,2};{3,4,5,6,7,8,9,10,11}",
+    "dim_leq(2) = false counterexample a={};{};{0,1,2,3,11};{0,2,3,4,5,6,7,8,9,10,11} b={};{};{0,1,2};{3,4,5,6,7,8,9,10,11}",
+    "dim_leq(3) = false counterexample a={};{};{};{0,1,2,3,11};{0,2,3,4,5,6,7,8,9,10,11} b={};{};{};{0,1,2};{3,4,5,6,7,8,9,10,11}",
+    "dim_a = >3",
+]
+
+
+@pytest.mark.parametrize("k", [12, 14, 16, 20, 24])
+def test_large_rings_finish_within_budget(tmp_path, capsys, k):
+    # every level fails at an early partition, so no level walks the
+    # Bell-many partitions of the atoms
+    path = ring_path(tmp_path, k)
+    start = time.perf_counter()
+    code = cli.main(["--cap-atoms", "24", "dim", path, "--close", "rs"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    if k == 12:
+        assert out == RING12_LINES
+    assert [line.partition(" counterexample")[0] for line in out] == [
+        f"dim_leq({n}) = false" for n in range(-1, 4)
+    ] + ["dim_a = >3"]
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+def test_whole_algebra_dimension_builds_no_closure_table():
+    for k in (6, 24):
+        ca = ring(k)
+        assert dim_a(query(ca, None, 3), scan_to_cap=True).value is None
+        assert ca.contact._closure is None

@@ -17,7 +17,6 @@ from contactalg import (
     check_dhlc_morphism,
     clopen_sets,
     closure,
-    co_algebra,
     compose_diamond,
     dim_cl,
     discrete_space,
@@ -37,7 +36,6 @@ from contactalg import (
     rc_algebra,
     ro_algebra,
     sierpinski_space,
-    stone_dual,
     weight_of_space,
 )
 
@@ -98,11 +96,6 @@ def test_closure_is_a_closure_operator(mask):
     assert mask & ~c == 0
     assert closure(X, c) == c
     assert interior(X, X.full_mask ^ mask) == X.full_mask ^ c
-
-
-def test_minimal_neighborhoods():
-    X = chain_space(3)
-    assert [X.minimal_neighborhood(p) for p in range(3)] == [0b001, 0b011, 0b111]
 
 
 def test_generate_topology_closes():
@@ -311,15 +304,9 @@ def test_lambda_t_space_mismatch():
         lambda_t_map(f, rc_algebra(discrete_space(3)), rc_algebra(X))
 
 
-def test_stone_dual_and_clopens():
-    from contactalg import powerset_algebra
-
-    X = stone_dual(powerset_algebra(3))
-    assert X.is_discrete and X.point_count == 3
+def test_clopens_of_small_spaces():
     assert len(clopen_sets(chain_space(3))) == 2
     assert len(clopen_sets(discrete_space(2))) == 4
-    assert co_algebra(discrete_space(2)).atom_count == 2
-    assert co_algebra(chain_space(3)).atom_count == 1
 
 
 def test_connectedness():

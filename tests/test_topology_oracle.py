@@ -19,7 +19,6 @@ from contactalg import (
     ValidationError,
     clopen_sets,
     closure,
-    co_algebra,
     dim_cl,
     enumerate_topologies,
     generate_topology,
@@ -110,7 +109,6 @@ def test_clopens_match_the_opens_sweep():
         for X in enumerate_topologies(n):
             clopens = naive_clopen_sets(X)
             assert clopen_sets(X) == clopens
-            assert co_algebra(X).atom_count == len(naive_atoms(clopens))
             assert is_connected_space(X) == (len(clopens) <= 2)
             count += 1
     assert count == 7332
