@@ -86,6 +86,15 @@ class ContactStructure:
             mask ^= low
         return out
 
+    def reach_closure(self, mask: int) -> int:
+        """Every atom reached from an atom of mask in the digraph
+        p -> row(p), the atoms of mask included."""
+        seen = frontier = mask
+        while frontier:
+            frontier = self.reach_mask(frontier) & ~seen
+            seen |= frontier
+        return seen
+
     def closure_table(self) -> list[int]:
         """reach_mask for every element mask, built once.
 
@@ -360,16 +369,8 @@ def is_connected(ca: ContactAlgebra) -> bool:
     closed element exists iff some atom does not reach every atom. Each
     reach set takes at most k rounds of reach_mask, k^3 steps in all.
     """
-    s = ca.contact
     full = ca.algebra.full_mask
-    for p in range(ca.algebra.atom_count):
-        seen = frontier = 1 << p
-        while frontier:
-            frontier = s.reach_mask(frontier) & ~seen
-            seen |= frontier
-        if seen != full:
-            return False
-    return True
+    return all(ca.contact.reach_closure(1 << p) == full for p in range(ca.algebra.atom_count))
 
 
 def check_ca_morphism(

@@ -13,14 +13,17 @@ I(x) = {p : row(p) <= x} is the largest element well inside x.
 
 When D is the whole algebra every quantifier is taken over atoms, and
 the query holds no element of D. A witness for an a-tuple is an
-assignment of atoms to slots (_atom_witness), and both verdicts are
-decided over the partitions c of the atoms into at most n+2 blocks: the
-level holds iff every tuple (reach(c_i)) has a witness, and otherwise
-the least failing partition is the first counterexample (proof in
-_decide). Sorted pair tuples (c_i, reach(c_i)) compare as the padded
-block tuples do, whatever the relation, so the partitions are generated
-in that ascending order (_partitions), each block's reach is read off the
-atom rows, and a false level stops at its first failing partition.
+assignment of atoms to slots (_atom_witness). A level holds iff every
+partition c of the atoms into at most n+2 blocks has a witness for the
+tuple (reach(c_i)), and otherwise the least failing partition is the
+first counterexample (proof in _decide). The partitions come in that
+ascending order (_partitions), each block's reach is read off the atom
+rows once per query, a false level stops at its first failing
+partition, and a level above a true one sweeps only the partitions
+into n+2 blocks (_least_failing_partition). On a reflexive symmetric
+relation, a graph on the atoms, a level is decided in closed form
+(_shared_vertex), and only a false level sweeps, to report its
+counterexample.
 
 A pool given with dim --subset takes the ordered sweep over multisets of
 (b, a) pairs whose a is minimal in D above reach(b)
@@ -30,8 +33,9 @@ running meet and on the best possible c-join, then the c-tuple under
 join pruning. Witness verdicts are memoized per a-multiset, dim_leq
 verdicts per n, and the witness candidate tables once, on the query.
 
-tests/naive.py re-implements the definition, with no pruning, and the
-suite compares verdicts and first counterexamples, and checks with
+tests/naive.py re-implements the definition and the closed form, with
+no pruning, and the suite compares verdicts and first counterexamples,
+and checks with
 _search_witness that each reported whole-algebra counterexample has no
 element-level witness.
 """
@@ -43,9 +47,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
-from .boolean import Element, _or_all, _partitions
-from .contact import ContactAlgebra
-from .errors import MismatchError, ValidationError
+from .boolean import Element, _blocks, _or_all, _partitions
+from .contact import ContactAlgebra, check_axiom
+from .errors import InternalInconsistencyError, MismatchError, ValidationError
 from .lca import LocalContactAlgebra, _interpolated, _minimal_intervals, nca_as_lca, relative_lca
 
 
@@ -65,8 +69,11 @@ class DimensionQuery:
     members: tuple[Element, ...] | None
     n_cap: int = 3
     masks: tuple[int, ...] | None = field(init=False, repr=False)
-    # witness verdicts keyed by sorted a-tuple, DimVerdicts by ("verdict", n),
-    # and the witness candidate tables of _search_witness by "candidates"
+    # DimVerdicts by ("verdict", n). A pool adds its witness verdicts keyed
+    # by sorted a-tuple and the candidate tables of _search_witness by
+    # "candidates"; the whole algebra adds the graph components or None
+    # ("components"), the _atom_witness test ("witness") and each block's
+    # reach ("reaches"), shared by every level
     _inner_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -160,50 +167,140 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     function of its block, so two sorted pair tuples compare as their
     padded block tuples do, whatever the relation. _partitions yields
     those in ascending order, so the first one with no witness is the
-    least failing partition: a false level stops there, and a true level
-    checks every one. Each block's reach is read off the atom rows once
-    per level.
+    least failing partition (_least_failing_partition).
+
+    On a reflexive symmetric relation the verdict is _shared_vertex's
+    closed form: a true level walks no partition, and a false one sweeps
+    only to report its least failing partition, which must then exist.
     """
     alg = q.ca.algebra
     if n == -1:
         return DimVerdict(alg.size == 1, n)
-    k = n + 2
-    full = alg.full_mask
-    whole = q.masks is None or len(q.masks) == alg.size
-    if whole:
-        search = _atom_witness(q.ca)
+    if q.masks is None or len(q.masks) == alg.size:
+        components = _components(q)
+        rows = q.ca.contact.rows
+        if components is not None and all(_shared_vertex(rows, K, n + 2) for K in components):
+            return DimVerdict(True, n)
+        bad = _least_failing_partition(q, n)
+        if bad is None and components is not None:
+            raise InternalInconsistencyError(
+                f"dim_leq({n}) fails in closed form but every partition has a witness"
+            )
     else:
         reach = q.ca.contact.closure_table()
-        search = partial(_search_witness, q, reach, full)
+        search = partial(_search_witness, q, reach, alg.full_mask)
 
-    def witness_exists(a_list) -> bool:
-        key = tuple(sorted(a_list))
-        result = q._inner_memo.get(key)
-        if result is None:
-            result = q._inner_memo[key] = search(key)
-        return result
+        def witness_exists(a_list) -> bool:
+            key = tuple(sorted(a_list))
+            result = q._inner_memo.get(key)
+            if result is None:
+                result = q._inner_memo[key] = search(key)
+            return result
 
-    if whole:
-        bad = None
-        reach_mask = q.ca.contact.reach_mask
-        reaches: dict[int, int] = {}
-        for blocks in _partitions(alg.atom_count, k):
-            a_list = []
-            for c in blocks:
-                r = reaches.get(c)
-                if r is None:
-                    r = reaches[c] = reach_mask(c)
-                a_list.append(r)
-            if not witness_exists(a_list):
-                bad = tuple(zip(blocks, a_list))
-                break
-    else:
-        bad = _first_counterexample(q.masks, reach, full, k, witness_exists)
+        bad = _first_counterexample(q.masks, reach, alg.full_mask, n + 2, witness_exists)
     if bad is None:
         return DimVerdict(True, n)
     a_tuple = tuple(Element(alg, a) for _, a in bad)
     b_tuple = tuple(Element(alg, b) for b, _ in bad)
     return DimVerdict(False, n, a_tuple, b_tuple)
+
+
+def _components(q: DimensionQuery) -> tuple[int, ...] | None:
+    """The components of a reflexive symmetric relation (C3 and C4), a
+    graph on the atoms whose rows are the closed neighbourhoods N[v], as
+    atom masks; None for any other relation. Found once per query."""
+    memo = q._inner_memo
+    if "components" not in memo:
+        ca = q.ca
+        found = None
+        if check_axiom(ca, "C3").ok and check_axiom(ca, "C4").ok:
+            found = []
+            left = ca.algebra.full_mask
+            while left:
+                K = ca.contact.reach_closure(left & -left)
+                found.append(K)
+                left ^= K
+            found = tuple(found)
+        memo["components"] = found
+    return memo["components"]
+
+
+def _shared_vertex(rows: Sequence[int], K: int, k: int) -> bool:
+    """Do every k >= 2 closed neighbourhoods of vertices of the component
+    K share a vertex? On a graph, with D the whole algebra, level n holds
+    iff this is true for k = n+2 in every component. Atom p may take slot
+    i iff reach(row p) = N²[p] <= N[c_i] (_atom_witness).
+
+      * If it is true, any two vertices of K share a neighbour, so
+        N²[p] = K for p in K. In any partition c_1..c_k some N[c_i]
+        holds K: otherwise pick x_i in K - N[c_i] for each i, so c_i
+        misses N[x_i], and the vertex all the N[x_i] share lies in no
+        block. Send K to that slot. Each R_i is then a union of
+        components, and either a slot is left empty or two slots hold
+        disjoint ones, so the R's meet to 0.
+      * If it is false, take v_1..v_m in K, m <= k, whose N[v_i] share
+        no vertex; if K has two vertices at distance 3, take those two.
+        Put each x of K in the block of the least i with x outside
+        N[v_i], and every other atom in block 1. Then no c_i meets
+        N[v_i], so v_i lies outside N[c_i]. An atom p of K whose N²[p]
+        holds every v_i has no slot: every p when the diameter is at
+        most 2, and the middle vertex of a 3-path otherwise. So that
+        partition fails.
+
+    The search runs over the running intersection I, starting from K.
+    The least vertex x of I must leave it, so the next neighbourhood is
+    N[v] for some v of K outside N[x]; a depth of k bounds it. A vertex
+    adjacent to all of K lies in every N[v], so such a K never fails.
+    """
+    if any(rows[v] == K for v in range(K.bit_length()) if K >> v & 1):
+        return True
+
+    def cut(I: int, depth: int) -> bool:
+        x = (I & -I).bit_length() - 1
+        outside = K & ~rows[x]
+        while outside:
+            low = outside & -outside
+            J = I & rows[low.bit_length() - 1]
+            if not J or depth > 1 and cut(J, depth - 1):
+                return True
+            outside ^= low
+        return False
+
+    return not cut(K, k)
+
+
+def _least_failing_partition(q: DimensionQuery, n: int) -> tuple[tuple[int, int], ...] | None:
+    """The least partition of the atoms into at most k = n+2 blocks,
+    padded to k, whose reaches have no witness, as (block, reach) pairs;
+    None when every partition has one. Each block's reach is read off
+    the atom rows once per query.
+
+    A witness f for X at level n - 1 is one for (0,)+X at level n: the
+    new slot gets no atom, so its R is 0. The padded partitions of level
+    n with a 0 block are exactly those (0,)+X, so after a true level
+    n - 1 only the partitions into n+2 blocks are swept.
+    """
+    ca = q.ca
+    full = ca.algebra.full_mask
+    k = n + 2
+    memo = q._inner_memo
+    if n > 0 and memo.get(("verdict", n - 1)):
+        tuples = _blocks((), full, k, full)
+    else:
+        tuples = _partitions(ca.algebra.atom_count, k)
+    witness = memo.get("witness") or memo.setdefault("witness", _atom_witness(ca))
+    reaches = memo.setdefault("reaches", {})
+    reach_mask = ca.contact.reach_mask
+    for blocks in tuples:
+        a_list = []
+        for c in blocks:
+            r = reaches.get(c)
+            if r is None:
+                r = reaches[c] = reach_mask(c)
+            a_list.append(r)
+        if not witness(a_list):
+            return tuple(zip(blocks, a_list))
+    return None
 
 
 def _atom_witness(ca: ContactAlgebra):
@@ -222,38 +319,46 @@ def _atom_witness(ca: ContactAlgebra):
     c_i << d_i, d_i << a_i because every row in R_i lies in I(a_i), the
     c's join to 1 and the d's meet to 0.
 
-    The search gives up at once if some atom has no allowed slot, and
-    succeeds at once if some slot can be left empty, i.e. no atom is
-    allowed that slot alone. Otherwise every slot holds an atom from the
-    start, the meet only grows as rows are added, and a depth-first search
-    over the remaining atoms stops a branch as soon as the meet is
-    nonzero. An atom whose row already lies in an allowed R_i goes there
-    without branching: that leaves every R as small as possible.
+    Atom p may take slot i iff reach(row p) <= a_i, so each a keeps the
+    mask allowed(a) of the atoms it admits, built once. The search gives
+    up at once if the allowed masks do not join to 1 (an atom has no
+    slot), and succeeds at once if some slot holds no atom that is
+    allowed there alone: that slot can be left empty. Otherwise every
+    slot holds an atom from the start, the meet only grows as rows are
+    added, and a depth-first search over the remaining atoms stops a
+    branch as soon as the meet is nonzero. An atom whose row already
+    lies in an allowed R_i goes there without branching: that leaves
+    every R as small as possible.
     """
     rows = ca.contact.rows
     full = ca.algebra.full_mask
     # row(p) <= I(a) iff reach(row(p)) <= a
     row_reach = [ca.contact.reach_mask(r) for r in rows]
     atoms = range(len(rows))
+    admits: dict[int, int] = {}
 
-    def exists(a_multiset: tuple[int, ...]) -> bool:
-        k = len(a_multiset)
-        slot_range = range(k)
-        R = [0] * k
+    def exists(a_multiset: Sequence[int]) -> bool:
+        allowed = []
+        once = twice = 0
+        for a in a_multiset:
+            s = admits.get(a)
+            if s is None:
+                s = admits[a] = sum(1 << p for p in atoms if row_reach[p] & ~a == 0)
+            twice |= once & s
+            once |= s
+            allowed.append(s)
+        if once != full:
+            return False
+        if any(s & ~twice == 0 for s in allowed):
+            return True
+        R = [0] * len(allowed)
         free: list[tuple[int, list[int]]] = []
-        alone = 0
         for p in atoms:
-            rr = row_reach[p]
-            slots = [i for i in slot_range if rr & (full ^ a_multiset[i]) == 0]
-            if not slots:
-                return False
+            slots = [i for i, s in enumerate(allowed) if s >> p & 1]
             if len(slots) == 1:
-                alone |= 1 << slots[0]
                 R[slots[0]] |= rows[p]
             elif rows[p]:
                 free.append((rows[p], slots))
-        if alone != (1 << k) - 1:
-            return True
 
         def meet() -> int:
             m = full
@@ -421,7 +526,9 @@ def dim_a(q: DimensionQuery, scan_to_cap: bool = False) -> DimensionResult:
 
     By default the scan stops at the first success. With scan_to_cap the
     whole range is evaluated and any non-monotone verdict pair is
-    reported as an anomaly; this costs exponentially more per extra n.
+    reported as an anomaly. A true level of a graph costs no sweep;
+    elsewhere each true level sweeps the partitions into n+2 blocks,
+    whose number grows exponentially with n.
     """
     verdicts: list[tuple[int, bool]] = []
     value: int | None = None

@@ -75,6 +75,29 @@ def naive_dim(ca: ContactAlgebra, members, n_cap: int):
     return None
 
 
+def naive_graph_dim_leq(ca: ContactAlgebra, n: int) -> bool:
+    """Dimension at most n (n >= 0) of a reflexive symmetric relation
+    with D the whole algebra, in closed form: in every connected
+    component, every n+2 closed neighbourhoods (the rows) of its vertices
+    share a vertex. Components are grown edge by edge and every (n+2)-
+    multiset of vertices is tried, with no pruning."""
+    rows = ca.contact.rows
+    atoms = range(len(rows))
+    for p in atoms:
+        component = {p}
+        grown = True
+        while grown:
+            grown = False
+            for u, v in product(list(component), atoms):
+                if rows[u] >> v & 1 and v not in component:
+                    component.add(v)
+                    grown = True
+        for vs in combinations_with_replacement(sorted(component), n + 2):
+            if not any(all(rows[v] >> x & 1 for v in vs) for x in component):
+                return False
+    return True
+
+
 def naive_partitions(atom_count: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Every partition of the atoms into at most k blocks, as its sorted
     block masks padded with leading 0s to length k, in ascending order:

@@ -9,6 +9,7 @@ from contactalg import (
     ContactAlgebra,
     ContactStructure,
     DimensionQuery,
+    InternalInconsistencyError,
     LocalContactAlgebra,
     MismatchError,
     ValidationError,
@@ -31,6 +32,7 @@ from conftest import sample_not_reflexive_symmetric, sampled_contact_algebras
 from naive import (
     naive_dim_leq,
     naive_first_counterexample,
+    naive_graph_dim_leq,
     naive_is_way_below_dense,
     naive_partitions,
     naive_pool_first_counterexample,
@@ -165,7 +167,10 @@ def test_optimized_matches_naive_on_samples(k, n):
     for ca in sampled_contact_algebras(k, 6):
         q = query(ca, None, 1)
         members = list(ca.algebra.elements())
-        assert bool(dim_leq(q, n)) == naive_dim_leq(ca, members, n), ca.contact.rows
+        expected = naive_dim_leq(ca, members, n)
+        assert bool(dim_leq(q, n)) == expected, ca.contact.rows
+        if n >= 0:
+            assert naive_graph_dim_leq(ca, n) == expected, ca.contact.rows
 
 
 def test_verdict_reuse_is_consistent(c6):
@@ -312,7 +317,9 @@ def test_verdicts_and_counterexamples_match_oracle_on_four_atom_graphs():
     for ca in every_algebra([4], reflexive_symmetric=True):
         q = query(ca, None, 2)
         for n in (0, 1, 2):
-            assert verdict_masks(dim_leq(q, n)) == oracle_verdict(ca, n), (ca.contact.rows, n)
+            expected = oracle_verdict(ca, n)
+            assert verdict_masks(dim_leq(q, n)) == expected, (ca.contact.rows, n)
+            assert naive_graph_dim_leq(ca, n) == expected[0], (ca.contact.rows, n)
 
 
 def match_oracle(algebras, levels):
@@ -323,6 +330,8 @@ def match_oracle(algebras, levels):
         for n in levels:
             verdict = verdict_masks(dim_leq(q, n))
             assert verdict == oracle_verdict(ca, n), (ca.contact.rows, n)
+            if ca.is_contact:
+                assert naive_graph_dim_leq(ca, n) == verdict[0], (ca.contact.rows, n)
             seen.add(verdict[0])
     return seen
 
@@ -620,3 +629,112 @@ def test_whole_algebra_dimension_builds_no_closure_table():
         ca = ring(k)
         assert dim_a(query(ca, None, 3), scan_to_cap=True).value is None
         assert ca.contact._closure is None
+
+
+def test_graph_closed_form_matches_the_definition():
+    # the definitional sweep over every (n+2)-tuple of pairs grows as
+    # pairs^(n+2): every graph is taken at n = 0..2 on up to 2 atoms, at
+    # n = 0..1 on 3 atoms (4 s) and at n = 0 on 4 atoms (3 s); the 3-atom
+    # graphs at n = 2 take about 230 s, and larger levels meet
+    # naive_graph_dim_leq in the oracle tests above
+    levels = {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 1, 2), 3: (0, 1), 4: (0,)}
+    verdicts = []
+    for ca in every_algebra(range(5), reflexive_symmetric=True):
+        members = list(ca.algebra.elements())
+        for n in levels[ca.algebra.atom_count]:
+            verdict = naive_graph_dim_leq(ca, n)
+            assert verdict == naive_dim_leq(ca, members, n), (ca.contact.rows, n)
+            verdicts.append(verdict)
+    # the twelve labelled 4-atom paths fail at n = 0
+    assert (verdicts.count(False), len(verdicts)) == (12, 92)
+
+
+def closed_form(ca, n):
+    q = query(ca, None, 3)
+    rows = ca.contact.rows
+    return all(dimension._shared_vertex(rows, K, n + 2) for K in dimension._components(q))
+
+
+def test_closed_form_matches_the_partition_sweep_on_seeded_graphs():
+    # the closed form against the sweep called directly, each level on a
+    # fresh query, and against the oracle; the oracle alone reaches 12 atoms
+    verdicts = []
+    for k in (6, 7, 8):
+        for ca in sampled_contact_algebras(k, 20, seed=32):
+            for n in range(4):
+                verdict = closed_form(ca, n)
+                assert verdict == (dimension._least_failing_partition(query(ca, None, 3), n) is None)
+                assert verdict == naive_graph_dim_leq(ca, n), (ca.contact.rows, n)
+                verdicts.append(verdict)
+    for k in (10, 12):
+        for ca in sampled_contact_algebras(k, 10, seed=32):
+            for n in range(4):
+                assert closed_form(ca, n) == naive_graph_dim_leq(ca, n), (ca.contact.rows, n)
+    assert (verdicts.count(True), len(verdicts)) == (68, 240)
+
+
+def resume_cases():
+    yield from every_algebra(range(4), reflexive_symmetric=False)
+    yield from every_algebra([4], reflexive_symmetric=True)
+    rng = random.Random(32)
+    seen = set()
+    while len(seen) < 200:
+        k = 4 + len(seen) % 2
+        alg = powerset_algebra(k)
+        rows = tuple(rng.randrange(alg.size) for _ in range(k))
+        ca = ContactAlgebra(alg, ContactStructure(alg, rows))
+        if rows not in seen and not ca.is_contact:
+            seen.add(rows)
+            yield ca
+
+
+def test_levels_in_ascending_order_match_fresh_queries():
+    # a level above a true one sweeps only the partitions into n+2
+    # blocks; asking each level of a fresh query sweeps every partition
+    false_after_true = 0
+    for ca in resume_cases():
+        q = query(ca, None, 3)
+        for n in range(-1, 4):
+            verdict = verdict_masks(dim_leq(q, n))
+            assert verdict == verdict_masks(dim_leq(query(ca, None, 3), n)), (ca.contact.rows, n)
+            false_after_true += n > 0 and not verdict[0] and bool(dim_leq(q, n - 1))
+    assert false_after_true == 19
+
+
+def test_closed_form_without_a_failing_partition_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dimension, "_least_failing_partition", lambda q, n: None)
+    code = cli.main(["dim", ring_path(tmp_path, 6), "--close", "rs"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: dim_leq(0) fails in closed form but every partition has a witness\n"
+    with pytest.raises(InternalInconsistencyError):
+        dim_leq(query(ring(6)), 0)
+    # a relation that is not a graph keeps the sweep's verdict
+    alg = powerset_algebra(2)
+    assert dim_leq(query(ContactAlgebra(alg, ContactStructure(alg, [1, 3]))), 0)
+
+
+# dim --scan --max-n 3 on the 10-, 11- and 12-atom wheels, as printed
+# while every true level walked every partition
+WHEEL_OUT = (
+    "dim_leq(-1) = false\ndim_leq(0) = true\ndim_leq(1) = true\ndim_leq(2) = true\n"
+    "dim_leq(3) = true\ndim_a = 0\nPROP dim_monotone PASS\n"
+)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_wheels_finish_within_budget(tmp_path, capsys, k):
+    # a ring on k - 1 atoms plus a hub in contact with all of them: every
+    # level n >= 0 is true
+    rim = k - 1
+    path = tmp_path / f"wheel{k}.alg"
+    path.write_text(
+        f"atoms: {k}\n" + "".join(f"contact: {p} {(p + 1) % rim}\ncontact: {p} {rim}\n" for p in range(rim))
+    )
+    start = time.perf_counter()
+    code = cli.main(["--cap-atoms", "24", "dim", str(path), "--close", "rs", "--scan", "--max-n", "3"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out == WHEEL_OUT
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
