@@ -395,7 +395,7 @@ def _cmd_space(args, report: Report):
             g = t_rc.to_set(Element(t_rc.algebra, m))
             image = s_rc.to_set(table(Element(t_rc.algebra, m)))
             report.emit(f"lambda_t: {_fmt_set(g)} -> {_fmt_set(image)}")
-    else:  # pragma: no cover - argparse stops unknown choices
+    else:  # pragma: no cover - _exact_value and argparse both check `what` against its choices
         raise CliInputError(f"unknown space query {what!r}")
 
 
@@ -519,67 +519,156 @@ def _cmd_crosscheck(args, report: Report):
     guarded("lambda_t_identity", lt_identity)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, tuple]:
+    """The argparse parser, and the grammar `_exact_args` reads: the
+    Action objects the parser's own add_argument calls returned."""
     parser = argparse.ArgumentParser(
         prog="contactalg",
         description="Finite contact algebra toolkit: axiom checks, dimension, weight, and a finite-topology oracle.",
     )
-    parser.add_argument(
+    cap = parser.add_argument(
         "--cap-atoms",
         type=int,
         default=8,
         help="largest atom count accepted from input files (default 8)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def add_algebra(p):
-        p.add_argument("algebra", help="algebra file")
-        p.add_argument("--close", choices=["rs"], default=None, help="apply reflexive-symmetric closure")
+    def command(name, help):
+        """Add subcommand `name`; return its add_argument, which keeps each Action."""
+        p = sub.add_parser(name, help=help)
+        actions = commands[name] = []
+        return lambda *names, **kw: actions.append(p.add_argument(*names, **kw))
 
-    p = sub.add_parser("check", help="axiom bundle report for an algebra file")
-    add_algebra(p)
+    def add_algebra(arg):
+        arg("algebra", help="algebra file")
+        arg("--close", choices=["rs"], default=None, help="apply reflexive-symmetric closure")
 
-    p = sub.add_parser("dim", help="algebraic dimension")
-    add_algebra(p)
-    p.add_argument("--max-n", type=int, default=3, help="largest n to test (default 3)")
-    p.add_argument("--subset", default=None, help="witness pool D as ;-separated atom sets (0 and 1 are always included)")
-    p.add_argument("--scan", action="store_true", help="evaluate every n up to the cap and report monotonicity")
+    add_algebra(command("check", help="axiom bundle report for an algebra file"))
 
-    p = sub.add_parser("weight", help="minimum base cardinality")
-    add_algebra(p)
+    arg = command("dim", help="algebraic dimension")
+    add_algebra(arg)
+    arg("--max-n", type=int, default=3, help="largest n to test (default 3)")
+    arg("--subset", default=None, help="witness pool D as ;-separated atom sets (0 and 1 are always included)")
+    arg("--scan", action="store_true", help="evaluate every n up to the cap and report monotonicity")
 
-    p = sub.add_parser("piweight", help="minimum dense subset cardinality")
-    add_algebra(p)
+    add_algebra(command("weight", help="minimum base cardinality"))
+    add_algebra(command("piweight", help="minimum dense subset cardinality"))
 
-    p = sub.add_parser("product", help="emit the product algebra as a file")
-    p.add_argument("algebras", nargs="+", help="factor algebra files")
-    p.add_argument("--close", choices=["rs"], default=None)
+    arg = command("product", help="emit the product algebra as a file")
+    arg("algebras", nargs="+", help="factor algebra files")
+    arg("--close", choices=["rs"], default=None)
 
-    p = sub.add_parser("relative", help="emit the relative algebra below an atom set")
-    add_algebra(p)
-    p.add_argument("--at", required=True, help="atom set like {0,1,2}")
+    arg = command("relative", help="emit the relative algebra below an atom set")
+    add_algebra(arg)
+    arg("--at", required=True, help="atom set like {0,1,2}")
 
-    p = sub.add_parser("space", help="finite-topology oracle queries")
-    p.add_argument(
-        "what",
-        choices=["rc", "ro", "dim", "weight", "piweight", "connected", "lambda-t"],
+    arg = command("space", help="finite-topology oracle queries")
+    arg("what", choices=["rc", "ro", "dim", "weight", "piweight", "connected", "lambda-t"])
+    arg("space", help="space file")
+    arg("map", nargs="?", default=None, help="map file (lambda-t only)")
+    arg("--max-n", type=int, default=3)
+
+    arg = command("search", help="enumerate small atom relations and tabulate invariants")
+    arg("--atoms", type=int, required=True, help="enumerate 1..k atoms (k at most 6, or 4 with --contact-class all)")
+    arg("--contact-class", choices=["reflexive-symmetric", "all"], default="reflexive-symmetric")
+    arg("--max-n", type=int, default=1, help="dimension cap per relation (default 1)")
+
+    command("crosscheck", help="space-vs-algebra agreement properties")("space", help="space file")
+    return parser, (_syntax([cap]), {name: _syntax(actions) for name, actions in commands.items()})
+
+
+def _syntax(actions):
+    """(the positionals in order, option string -> action, dest -> default,
+    the required options)."""
+    return (
+        [a for a in actions if not a.option_strings],
+        {s: a for a in actions for s in a.option_strings},
+        {a.dest: a.default for a in actions},
+        {a for a in actions if a.required and a.option_strings},
     )
-    p.add_argument("space", help="space file")
-    p.add_argument("map", nargs="?", default=None, help="map file (lambda-t only)")
-    p.add_argument("--max-n", type=int, default=3)
 
-    p = sub.add_parser("search", help="enumerate small atom relations and tabulate invariants")
-    p.add_argument("--atoms", type=int, required=True, help="enumerate 1..k atoms (k at most 6, or 4 with --contact-class all)")
-    p.add_argument(
-        "--contact-class",
-        choices=["reflexive-symmetric", "all"],
-        default="reflexive-symmetric",
-    )
-    p.add_argument("--max-n", type=int, default=1, help="dimension cap per relation (default 1)")
 
-    p = sub.add_parser("crosscheck", help="space-vs-algebra agreement properties")
-    p.add_argument("space", help="space file")
-    return parser
+def _exact_args(grammar, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that argparse returns for argv, read straight from
+    the parser's actions, or None when argv is not in the one shape read.
+
+    The shape is `[--cap-atoms N] COMMAND POSITIONAL... OPTION...`: the
+    command named exactly, then the positionals, then each option at most
+    once, spelled in full, with its value (if it takes one) as the next
+    token. No positional or value may start with '-'. argparse then reads
+    every token as this reader does: '-'-led tokens are options, an exact
+    option string wins over an abbreviation, and the positionals before
+    the first option match greedily by nargs (None, '?' or '+'), as here.
+    The top level has one option, so no token after the command is an
+    ambiguous abbreviation there, which argparse would refuse. Values go
+    through each action's own type and choices, and required options must
+    be present. Any other argv (help, '=', an abbreviation, '--', a
+    negative number, a repeat, a positional after an option, a failed
+    conversion) returns None and goes to argparse, which alone writes
+    help and usage errors.
+    """
+    top, commands = grammar
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(top[2])
+    try:
+        i = _exact_options(top, argv, 0, values)
+        syntax = commands.get(argv[i]) if i < len(argv) else None
+        if syntax is None:
+            return None
+        positionals, _, defaults, _ = syntax
+        values["command"] = argv[i]
+        values.update(defaults)
+        i = end = i + 1
+        while end < len(argv) and not argv[end].startswith("-"):
+            end += 1
+        for action in positionals:
+            n = end - i if action.nargs == "+" else min(1, end - i)
+            if n < (action.nargs != "?"):
+                return None
+            if n:
+                got = [_exact_value(action, token) for token in argv[i:i + n]]
+                values[action.dest] = got if action.nargs == "+" else got[0]
+            i += n
+        if _exact_options(syntax, argv, i, values) != len(argv):
+            return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args
+
+
+def _exact_options(syntax, argv, i, values) -> int:
+    """Read exact `--option VALUE` and `--flag` tokens, each at most once,
+    from argv[i:] into values; return the index of the first other token.
+    Every option here stores one value or its const (store and store_true
+    actions). A missing value or required option raises ValueError."""
+    _, options, _, required = syntax
+    seen = set()
+    while i < len(argv):
+        action = options.get(argv[i])
+        if action is None or action in seen:
+            break
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            i += 1
+        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            values[action.dest] = _exact_value(action, argv[i + 1])
+            i += 2
+        else:
+            raise ValueError(argv[i])
+    if not required <= seen:
+        raise ValueError("a required option is missing")
+    return i
+
+
+def _exact_value(action, token: str):
+    value = action.type(token) if action.type else token
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(token)
+    return value
 
 
 _HANDLERS = {
@@ -595,14 +684,18 @@ _HANDLERS = {
 }
 
 
-_PARSER: argparse.ArgumentParser | None = None
+_PARSER = None  # build_parser(), made on the first call of main
 
 
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    parser, grammar = _PARSER
+    argv = sys.argv[1:] if argv is None else argv
+    args = _exact_args(grammar, argv)
+    if args is None:
+        args = parser.parse_args(argv)
     report = Report([])
     try:
         _HANDLERS[args.command](args, report)

@@ -539,13 +539,17 @@ def dim_a(q: DimensionQuery, scan_to_cap: bool = False) -> DimensionResult:
             value = n
             if not scan_to_cap:
                 break
-    anomalies = tuple(
-        (ni, nj)
-        for ni, vi in verdicts
-        for nj, vj in verdicts
-        if ni < nj and vi and not vj
-    )
-    return DimensionResult(value, q.n_cap, tuple(verdicts), anomalies)
+    # Each true level pairs with the false levels after it: the cost is
+    # the levels plus the anomalies, in the order (true level, false level).
+    false_levels = [n for n, v in verdicts if not v]
+    anomalies = []
+    later = 0
+    for n, v in verdicts:
+        if v:
+            anomalies.extend((n, m) for m in false_levels[later:])
+        else:
+            later += 1
+    return DimensionResult(value, q.n_cap, tuple(verdicts), tuple(anomalies))
 
 
 def is_way_below_dense(ca: ContactAlgebra, members: Sequence[Element]) -> bool:

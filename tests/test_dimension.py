@@ -738,3 +738,19 @@ def test_wheels_finish_within_budget(tmp_path, capsys, k):
     assert code == 0
     assert capsys.readouterr().out == WHEEL_OUT
     assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+def test_long_scan_lists_anomalies_in_linear_time(tmp_path, capsys):
+    # every level n >= 0 of this graph is true, so no pair is anomalous;
+    # listing the anomalies must not look at every pair of the 20,002 levels
+    path = tmp_path / "g3.alg"
+    path.write_text("atoms: 3\ncontact: 0 1\n")
+    start = time.perf_counter()
+    code = cli.main(["dim", str(path), "--close", "rs", "--scan", "--max-n", "20000"])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 20004
+    assert lines[0] == "dim_leq(-1) = false" and lines[-3] == "dim_leq(20000) = true"
+    assert lines[-2:] == ["dim_a = 0", "PROP dim_monotone PASS"]
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
