@@ -19,8 +19,8 @@ from contactalg import (
     dim_a,
     extremal_relation,
     generated_subalgebra,
-    min_dense_cardinality,
     nca_as_lca,
+    pi_weight,
     powerset_algebra,
     product_lca,
     query,
@@ -61,7 +61,7 @@ L6 = nca_as_lca(c6)
 w = algebra_weight(L6)
 print("  minimum base size:", w.size)
 print("  one base:", sorted(repr(e) for e in w.base))
-print("  minimum dense size:", min_dense_cardinality(c6.algebra).size)
+print("  minimum dense size:", pi_weight(c6.algebra))
 
 banner("Contact induced by a subalgebra")
 full = max(all_subalgebras(B3), key=lambda s: len(s.members))

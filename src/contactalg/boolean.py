@@ -30,12 +30,12 @@ class FiniteBooleanAlgebra:
 
     __slots__ = ("atom_count", "full_mask")
 
-    def __init__(self, atom_count: int, max_atoms: int = DEFAULT_MAX_ATOMS):
+    def __init__(self, atom_count: int):
         if atom_count < 0:
             raise ValidationError("atom_count must be >= 0")
-        if atom_count > max_atoms:
+        if atom_count > DEFAULT_MAX_ATOMS:
             raise ValidationError(
-                f"atom_count {atom_count} exceeds the practical cap {max_atoms}"
+                f"atom_count {atom_count} exceeds the practical cap {DEFAULT_MAX_ATOMS}"
             )
         self.atom_count = atom_count
         self.full_mask = (1 << atom_count) - 1
@@ -73,9 +73,9 @@ class FiniteBooleanAlgebra:
             yield Element(self, mask)
 
 
-def powerset_algebra(atom_count: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> FiniteBooleanAlgebra:
+def powerset_algebra(atom_count: int) -> FiniteBooleanAlgebra:
     """The power-set algebra on the given number of atoms."""
-    return FiniteBooleanAlgebra(atom_count, max_atoms=max_atoms)
+    return FiniteBooleanAlgebra(atom_count)
 
 
 @dataclass(frozen=True)
@@ -209,26 +209,6 @@ def is_dense_subset(algebra: FiniteBooleanAlgebra, members: Iterable[Element]) -
             raise MismatchError("dense-subset member from a different algebra")
         masks.add(x.mask)
     return all(1 << p in masks for p in range(algebra.atom_count))
-
-
-@dataclass(frozen=True)
-class DenseSearchResult:
-    size: int
-    witness: frozenset[Element]
-
-
-def min_dense_cardinality(algebra: FiniteBooleanAlgebra) -> DenseSearchResult:
-    """Minimum cardinality of a dense subset, with one minimum witness.
-
-    The only nonzero element below an atom is the atom itself, so every
-    dense set contains every atom; the atom set is itself dense. That
-    forces the minimum to be the atom count (0 for the degenerate algebra,
-    where the empty set is vacuously dense). Minimality is re-checked by
-    brute force in the test suite on small algebras.
-    """
-    witness = frozenset(algebra.atoms())
-    assert is_dense_subset(algebra, witness)
-    return DenseSearchResult(len(witness), witness)
 
 
 @dataclass(frozen=True)

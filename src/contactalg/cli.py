@@ -12,8 +12,9 @@ Algebra files::
 
 `contact:` lines list exactly the atom pairs that are related; nothing
 is closed implicitly (precontact inputs stay representable). Pass
-`--close rs` to take the reflexive-symmetric closure. `bounded:` names
-the atom set of the bounded ideal's top and defaults to all atoms.
+`--close rs` to take the reflexive-symmetric closure. `bounded:`, given
+at most once, names the atom set of the bounded ideal's top and
+defaults to all atoms.
 
 Space files::
 
@@ -155,6 +156,8 @@ def parse_algebra_file(text: str, close: str | None = None, cap_atoms: int = 8) 
         elif line.startswith("bounded:"):
             if atoms is None:
                 raise CliInputError("bounded: before atoms:", i)
+            if bounded_mask is not None:
+                raise CliInputError("duplicate bounded: line", i)
             bounded_mask = _parse_set(line[len("bounded:"):], i, atoms, "bounded: atom")
         else:
             raise CliInputError(f"unrecognized line {line!r}", i)
@@ -250,8 +253,8 @@ class Report:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except OSError as e:
         raise CliInputError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError:

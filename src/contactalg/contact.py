@@ -114,22 +114,6 @@ class ContactStructure:
     def contact_masks(self, a: int, b: int) -> bool:
         return self.reach_mask(a) & b != 0
 
-    def way_below_masks(self, a: int, b: int) -> bool:
-        return self.reach_mask(a) & (self.algebra.full_mask ^ b) == 0
-
-    # -- element-level queries --
-
-    def _own(self, x: Element) -> int:
-        if x.algebra is not self.algebra:
-            raise MismatchError("element from a different algebra")
-        return x.mask
-
-    def contact(self, a: Element, b: Element) -> bool:
-        return self.contact_masks(self._own(a), self._own(b))
-
-    def way_below(self, a: Element, b: Element) -> bool:
-        return self.way_below_masks(self._own(a), self._own(b))
-
 
 def extremal_relation(algebra: FiniteBooleanAlgebra, which: str) -> ContactStructure:
     """The smallest contact relation (overlap) or the largest one.
@@ -159,10 +143,14 @@ class ContactAlgebra:
             raise MismatchError("contact structure belongs to a different algebra")
 
     def holds(self, a: Element, b: Element) -> bool:
-        return self.contact.contact(a, b)
+        if a.algebra is not self.algebra or b.algebra is not self.algebra:
+            raise MismatchError("element from a different algebra")
+        return self.contact.reach_mask(a.mask) & b.mask != 0
 
     def way_below(self, a: Element, b: Element) -> bool:
-        return self.contact.way_below(a, b)
+        if a.algebra is not self.algebra or b.algebra is not self.algebra:
+            raise MismatchError("element from a different algebra")
+        return self.contact.reach_mask(a.mask) & ~b.mask == 0
 
     # Axiom bundles, memoized through the structure's axiom cache.
 

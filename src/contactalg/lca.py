@@ -14,6 +14,7 @@ is the lower-sharp of their plain composite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -21,6 +22,7 @@ from .boolean import (
     BooleanHomomorphism,
     Element,
     FiniteBooleanAlgebra,
+    RelativeAlgebra,
     _first_meet_failure,
     _or_all,
     check_homomorphism,
@@ -34,14 +36,13 @@ from .errors import InternalInconsistencyError, MismatchError, ValidationError
 class LocalContactAlgebra:
     """A contact algebra plus a principal ideal of bounded elements."""
 
-    __slots__ = ("ca", "bounded_top", "_lca_report", "_valid")
+    __slots__ = ("ca", "bounded_top", "_valid")
 
     def __init__(self, ca: ContactAlgebra, bounded_top: Element):
         if bounded_top.algebra is not ca.algebra:
             raise MismatchError("bounded top from a different algebra")
         self.ca = ca
         self.bounded_top = bounded_top
-        self._lca_report: AxiomReport | None = None
         self._valid: bool | None = None
 
     @property
@@ -71,15 +72,10 @@ class LocalContactAlgebra:
     def bounded_elements(self) -> list[Element]:
         return [Element(self.algebra, m) for m in self.bounded_masks()]
 
-    def axiom_report(self) -> AxiomReport:
-        if self._lca_report is None:
-            self._lca_report = check_lca_axioms(self)
-        return self._lca_report
-
     def is_valid(self) -> bool:
         """Contact bundle plus LC1, LC2, LC3."""
         if self._valid is None:
-            self._valid = self.ca.is_contact and self.axiom_report().ok
+            self._valid = self.ca.is_contact and check_lca_axioms(self).ok
         return self._valid
 
 
@@ -300,9 +296,6 @@ class LcaMorphismTable:
     def identity(cls, L: LocalContactAlgebra) -> "LcaMorphismTable":
         return cls(L, L, tuple(range(L.algebra.size)))
 
-    def as_boolean_homomorphism(self) -> BooleanHomomorphism:
-        return BooleanHomomorphism(self.source.algebra, self.target.algebra, self.mapping)
-
 
 def lower_sharp(t: LcaMorphismTable) -> LcaMorphismTable:
     """The lower-sharp transform: a maps to the join of images of bounded
@@ -408,7 +401,7 @@ def check_lca_embedding(t: LcaMorphismTable) -> EmbeddingReport:
     """
     src, tgt = t.source, t.target
     f = t.mapping
-    hom = check_homomorphism(t.as_boolean_homomorphism())
+    hom = check_homomorphism(BooleanHomomorphism(src.algebra, tgt.algebra, f))
     if not hom.ok:
         raise ValidationError(f"not a Boolean homomorphism: fails {hom.law}")
     fails = _transport_failures(f, src.ca.contact, tgt.ca.contact)
@@ -495,13 +488,7 @@ def product_lca(factors: Sequence[LocalContactAlgebra]) -> ProductLca:
 class RelativeLca:
     lca: LocalContactAlgebra
     ambient: LocalContactAlgebra
-    carrier: object  # the RelativeAlgebra giving embed/restrict
-
-    def embed(self, x: Element) -> Element:
-        return self.carrier.embed(x)
-
-    def restrict(self, y: Element) -> Element:
-        return self.carrier.restrict(y)
+    carrier: RelativeAlgebra
 
 
 def relative_lca(L: LocalContactAlgebra, m: Element) -> RelativeLca:
@@ -537,8 +524,6 @@ def all_dhlc_morphisms(
     image of 1 to be 1 when the target is valid), so enumerating coatom
     assignments and filtering by the axiom check is a complete search.
     """
-    import itertools
-
     s_alg = source.algebra
     t_alg = target.algebra
     k = s_alg.atom_count

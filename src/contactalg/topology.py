@@ -36,6 +36,7 @@ from .boolean import (
 from .contact import ContactAlgebra, ContactStructure, is_ca_isomorphism, is_connected
 from .errors import InternalInconsistencyError, MismatchError, ValidationError
 from .lca import LcaMorphismTable, LocalContactAlgebra, check_dhlc_morphism
+from .weight import pi_weight
 
 DEFAULT_MAX_POINTS = 5
 
@@ -513,8 +514,6 @@ def is_pi_semiregular(X: FiniteSpace) -> bool:
         any(a & ~u == 0 for a in ro_atoms) for u in set(X.neighborhoods)
     )
     if result:
-        from .weight import pi_weight
-
         if pi_weight_of_space(X) != pi_weight(rc.algebra):
             raise InternalInconsistencyError(
                 "pi-weight of a pi-semiregular space disagrees with its regular closed algebra"

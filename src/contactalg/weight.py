@@ -7,54 +7,28 @@ with a <= x <= a is a itself), and what remains is a minimum hitting-set
 problem over the minimal well-inside intervals [a, R(a)] (R the reach
 table) that no forced member meets, solved by depth-limited branching
 on the most constrained interval with a greedy packing lower bound.
-Pi-weight needs no relation at all; it delegates to the dense subset
-minimum of the carrier algebra.
+Pi-weight needs no relation at all: it is the atom count of the
+carrier algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolean import (
-    Element,
-    Subalgebra,
-    _unions,
-    is_dense_subset,
-    min_dense_cardinality,
-)
+from .boolean import Element, Subalgebra, _unions, is_dense_subset
 from .contact import AxiomReport, ContactAlgebra, ContactStructure, check_axiom
 from .errors import InternalInconsistencyError, ValidationError
 from .lca import LocalContactAlgebra, _minimal_intervals, _submasks, is_dv_dense
 
 
-def is_base(L: LocalContactAlgebra, members) -> bool:
-    """Alias for dV-density of D inside the bounded ideal."""
-    return is_dv_dense(L, members)
-
-
-def s_part(structure) -> tuple[Element, ...]:
-    """All elements way below themselves, ascending.
-
-    Accepts a ContactAlgebra or anything carrying one under .ca.
-    """
-    ca = structure.ca if isinstance(structure, LocalContactAlgebra) else structure
+def s_part(ca: ContactAlgebra) -> tuple[Element, ...]:
+    """All elements way below themselves, ascending."""
     alg = ca.algebra
     full = alg.full_mask
     reach = ca.contact.closure_table()
     return tuple(
         Element(alg, a) for a in range(alg.size) if reach[a] & (full ^ a) == 0
     )
-
-
-@dataclass(frozen=True)
-class BaseSearchState:
-    """Completed frontier of the minimum-base search: the candidate set
-    (forced kernel plus chosen completions, all bounded) and the size
-    bound the deepening loop ended at."""
-
-    lca: LocalContactAlgebra
-    candidate: tuple[int, ...]
-    size_bound: int
 
 
 @dataclass(frozen=True)
@@ -73,15 +47,13 @@ def algebra_weight(L: LocalContactAlgebra) -> WeightResult:
     """
     if not L.ca.is_contact:
         raise ValidationError("weight needs a relation passing the contact bundle")
-    state = _minimum_base(L, _submasks(L.bounded_top.mask))
-    alg = L.algebra
-    return WeightResult(
-        len(state.candidate), tuple(Element(alg, m) for m in state.candidate)
-    )
+    masks = _minimum_base(L, _submasks(L.bounded_top.mask))
+    return WeightResult(len(masks), tuple(Element(L.algebra, m) for m in masks))
 
 
-def _minimum_base(L: LocalContactAlgebra, pool_masks) -> BaseSearchState:
-    """Forced members plus a minimum completion drawn from pool_masks.
+def _minimum_base(L: LocalContactAlgebra, pool_masks) -> tuple[int, ...]:
+    """Forced members plus a minimum completion drawn from pool_masks, as
+    sorted masks.
 
     pool_masks must at least contain every forced element; ValidationError
     otherwise (a base within the pool then cannot exist). It is raised as
@@ -129,7 +101,7 @@ def _minimum_base(L: LocalContactAlgebra, pool_masks) -> BaseSearchState:
         if a & ~c or c not in forced_set
     ]
     if not uncovered:
-        return BaseSearchState(L, tuple(sorted(forced)), len(forced))
+        return tuple(sorted(forced))
 
     spare = [d for d in pool_set if d not in forced_set and d & ~u == 0]
     inside = [[d for d in spare if a & ~d == 0 and d & ~c == 0] for a, c in uncovered]
@@ -195,16 +167,17 @@ def _minimum_base(L: LocalContactAlgebra, pool_masks) -> BaseSearchState:
     while True:
         chosen.clear()
         if dfs(all_pairs, depth):
-            return BaseSearchState(
-                L, tuple(sorted(forced + chosen)), len(forced) + depth
-            )
+            return tuple(sorted(forced + chosen))
         depth += 1
 
 
 def pi_weight(algebra) -> int:
-    """Least size of a dense subset; for a power set that is the atom
-    count (each atom is forced), 0 for the degenerate algebra."""
-    return min_dense_cardinality(algebra).size
+    """Least size of a dense subset: the atom count (0 for the degenerate
+    algebra, where the empty set is dense). The only nonzero element
+    below an atom is the atom itself, so every dense set holds each
+    atom, and the atoms are dense, as each nonzero b lies above its own.
+    """
+    return algebra.atom_count
 
 
 def zero_dim_criterion(L: LocalContactAlgebra) -> bool:
@@ -215,8 +188,8 @@ def zero_dim_criterion(L: LocalContactAlgebra) -> bool:
     """
     if not L.is_valid():
         raise ValidationError("zero_dim_criterion requires a valid structure")
-    members = [x for x in s_part(L) if L.is_bounded(x)]
-    return is_base(L, members)
+    members = [x for x in s_part(L.ca) if L.is_bounded(x)]
+    return is_dv_dense(L, members)
 
 
 _WAY_BELOW_AXIOMS = ("LL1", "LL2", "LL2'", "LL3", "LL4", "LL4'", "LL5", "LL6", "LL7")
@@ -267,7 +240,7 @@ def rho_from_subalgebra(parent, members: Subalgebra) -> SubalgebraContactResult:
     reports = tuple(check_axiom(ca, name) for name in _WAY_BELOW_AXIOMS)
     L = LocalContactAlgebra(ca, parent.one)
     member_elements = sorted(members.members, key=lambda x: x.mask)
-    base_ok = is_base(L, member_elements)
+    base_ok = is_dv_dense(L, member_elements)
     w = algebra_weight(L)
     minimum = base_ok and w.size == len(member_masks)
     self_below = {x.mask for x in s_part(ca)}
@@ -301,10 +274,8 @@ def minimal_base_within(L: LocalContactAlgebra, members) -> WeightResult:
     member_masks = {x.mask for x in members}
     join_closed = closure <= member_masks | {0}
 
-    state = _minimum_base(L, sorted(closure))
-    masks = state.candidate
-    alg = L.algebra
-    result = WeightResult(len(masks), tuple(Element(alg, m) for m in masks))
+    masks = _minimum_base(L, sorted(closure))
+    result = WeightResult(len(masks), tuple(Element(L.algebra, m) for m in masks))
 
     if not is_dv_dense(L, result.base):
         raise InternalInconsistencyError("search returned a non-base")

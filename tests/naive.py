@@ -11,7 +11,7 @@ naive_pool_first_counterexample, which memoizes witnesses the same way.
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 
-from contactalg import AxiomReport, BaseSearchState, ContactAlgebra, Element, ValidationError
+from contactalg import AxiomReport, ContactAlgebra, Element, ValidationError
 
 
 def naive_way_below(ca: ContactAlgebra, x: Element, y: Element) -> bool:
@@ -399,10 +399,9 @@ def naive_min_base(L):
 def naive_minimum_base(L, pool_masks):
     """The minimum-base search over every bounded pair a << c, as the
     engine ran it before it kept only the minimal intervals: forced
-    members plus a minimum completion drawn from pool_masks, as a
-    BaseSearchState. The pairs are listed by a, then c, each in
-    descending mask order after 0, and the witness is the search's first
-    minimum."""
+    members plus a minimum completion drawn from pool_masks, as sorted
+    masks. The pairs are listed by a, then c, each in descending mask
+    order after 0, and the witness is the search's first minimum."""
     bounded = _submasks(L.bounded_top.mask)
     alg = L.algebra
     full = alg.full_mask
@@ -426,7 +425,7 @@ def naive_minimum_base(L, pool_masks):
                 if not any(a & ~f == 0 and f & ~c == 0 for f in forced_set):
                     uncovered.append((a, c))
     if not uncovered:
-        return BaseSearchState(L, tuple(sorted(forced)), len(forced))
+        return tuple(sorted(forced))
 
     pool = sorted(
         d
@@ -497,9 +496,7 @@ def naive_minimum_base(L, pool_masks):
     while True:
         chosen.clear()
         if dfs(all_pairs, depth):
-            return BaseSearchState(
-                L, tuple(sorted(forced + chosen)), len(forced) + depth
-            )
+            return tuple(sorted(forced + chosen))
         depth += 1
 
 

@@ -155,6 +155,31 @@ def test_bounded_header(tmp_path):
     assert L.bounded_top.mask == 0b101
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("atoms: 3\natoms: 3\n", "error: line 2: duplicate atoms: header\n"),
+        ("atoms: 3\nbounded: {0}\nbounded: {1,2}\n", "error: line 3: duplicate bounded: line\n"),
+    ],
+    ids=["atoms", "bounded"],
+)
+def test_repeated_header_is_refused(tmp_path, capsys, text, err):
+    assert run(capsys, "check", algebra_path(tmp_path, text)) == (2, "", err)
+
+
+def test_line_endings_do_not_change_output(tmp_path, capsys):
+    """CRLF, lone-CR and U+2028 files give the bytes of their LF twin."""
+    text = C6_TEXT + "bounded: {0,1,2}\n"
+    paths = []
+    for i, newline in enumerate(("\n", "\r\n", "\r", "\u2028")):
+        p = tmp_path / f"a{i}.alg"
+        p.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        paths.append(str(p))
+    for argv in (["check", "--close", "rs"], ["dim", "--close", "rs", "--max-n", "1"]):
+        outs = [run(capsys, argv[0], p, *argv[1:]) for p in paths]
+        assert outs[0][1] and all(out == outs[0] for out in outs), argv
+
+
 def test_dim_subset_and_scan(tmp_path, capsys):
     path = algebra_path(tmp_path)
     subset = ";".join(

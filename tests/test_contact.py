@@ -92,8 +92,11 @@ def test_closure_table_matches_rowwise(c6):
 
 
 def test_cross_algebra_rejected(c6, overlap3):
-    with pytest.raises(MismatchError):
-        c6.holds(c6.algebra.one, overlap3.algebra.one)
+    own, foreign = c6.algebra.one, overlap3.algebra.one
+    for query in (c6.holds, c6.way_below):
+        for a, b in ((own, foreign), (foreign, own)):
+            with pytest.raises(MismatchError):
+                query(a, b)
 
 
 def test_constructors():

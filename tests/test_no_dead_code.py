@@ -1,7 +1,8 @@
 """Every top-level function, class and assigned name of the package, and
 every method that is not a dunder, is referenced somewhere in src/,
-tests/, demos/ or bench/ outside its own definition, and every
-module-level import of a package module is used in that module.
+tests/, demos/ or bench/ outside its own definition, every
+module-level import of a package module is used in that module, and
+the package imports nothing outside the standard library.
 
 References are read from the syntax trees of the Python files (names,
 attributes, imported names, and strings that are identifiers, such as a
@@ -11,6 +12,7 @@ a docstring or a comment does not keep a definition alive.
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +91,20 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{node.lineno} {name}" for name, node in imported_names(tree) if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_only_the_standard_library_is_imported():
+    """The package has no runtime dependencies: every absolute import,
+    at any depth, names a standard-library module."""
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names}
+            foreign += [f"{path.name}:{node.lineno} {t}" for t in sorted(top - sys.stdlib_module_names)]
+    assert not foreign, "imports outside the standard library: " + ", ".join(foreign)
