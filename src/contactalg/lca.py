@@ -193,9 +193,9 @@ def _minimal_intervals(L: LocalContactAlgebra) -> list[tuple[int, int]]:
     R is the reach table and u the bounded top, so a << c iff R(a) <= c.
     Write I(c) for the join of the atoms p <= u with row(p) <= c: the
     largest bounded a with a << c. The minimal intervals are the pairs
-    (a, R(a)) with R(a) <= u and I(R(a)) = a, at most one per bounded a,
-    found with one pass over the atoms each. (On a reflexive relation
-    I(c) <= c, so for c <= u the bound u on I changes nothing.)
+    (a, R(a)) with R(a) <= u and I(R(a)) = a, at most one per bounded a.
+    (On a reflexive relation I(c) <= c, so for c <= u the bound u on I
+    changes nothing.)
 
     Lemma: a set meets every bounded interval [a, c] with a << c iff it
     meets every minimal one. Minimal intervals are such intervals. Given
@@ -203,17 +203,24 @@ def _minimal_intervals(L: LocalContactAlgebra) -> list[tuple[int, int]]:
     has its row inside c0, so a <= a0; then R(a) <= R(a0) <= c0 gives
     R(a0) = c0, and I(R(a0)) = a0. So [a0, c0] is minimal, and it lies
     inside [a, c].
+
+    Each atom of a has its row inside R(a), so a <= I(R(a)) always, and
+    I is computed once per distinct top R(a), not once per a.
     """
     u = L.bounded_top.mask
     reach = L.ca.contact.closure_table()
     rows = L.ca.contact.rows
     bounded_atoms = [(1 << p, rows[p]) for p in range(L.algebra.atom_count) if u >> p & 1]
+    interior: dict[int, int] = {}
     out = []
     for a in _submasks(u):
         c = reach[a]
-        if c & ~u == 0 and not any(
-            row & ~c == 0 for bit, row in bounded_atoms if not a & bit
-        ):
+        if c & ~u:
+            continue
+        i = interior.get(c)
+        if i is None:
+            i = interior[c] = sum(bit for bit, row in bounded_atoms if row & ~c == 0)
+        if i == a:
             out.append((a, c))
     return out
 

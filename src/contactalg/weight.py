@@ -84,6 +84,12 @@ def _minimum_base(L: LocalContactAlgebra, pool_masks) -> tuple[int, ...]:
     the same candidates, in the same ascending order, and the lower
     bound and the failure memo only cut subtrees with no solution, so
     both return the same first minimum base.
+
+    Setup costs what the intervals cost. The candidates of [a, c] are the
+    pool members a | s with s <= c & ~a (none when a is not <= c). Pairs
+    i and j share a candidate iff some candidate of i covers j, so the
+    conflict row of i is the join of its candidates' cover rows. The
+    packing bound depends only on the unmet set, so it is kept per set.
     """
     reach = L.ca.contact.closure_table()
     u = L.bounded_top.mask
@@ -103,8 +109,11 @@ def _minimum_base(L: LocalContactAlgebra, pool_masks) -> tuple[int, ...]:
     if not uncovered:
         return tuple(sorted(forced))
 
-    spare = [d for d in pool_set if d not in forced_set and d & ~u == 0]
-    inside = [[d for d in spare if a & ~d == 0 and d & ~c == 0] for a, c in uncovered]
+    inside = [
+        [d for s in _submasks(c & ~a) if (d := a | s) in pool_set and d not in forced_set]
+        if a & ~c == 0 else []
+        for a, c in uncovered
+    ]
     if not all(inside):
         raise ValidationError("pool misses every interpolant of some pair")
     pool = sorted({d for ds in inside for d in ds})
@@ -116,20 +125,25 @@ def _minimum_base(L: LocalContactAlgebra, pool_masks) -> tuple[int, ...]:
         for d in ds:
             cand[i] |= 1 << index[d]
             cover[index[d]] |= 1 << i
+    counts = [m.bit_count() for m in cand]
 
     conflict = [0] * np_  # pairs sharing at least one candidate
-    for i in range(np_):
-        for j in range(np_):
-            if cand[i] & cand[j]:
-                conflict[i] |= 1 << j
+    for i, ds in enumerate(inside):
+        for d in ds:
+            conflict[i] |= cover[index[d]]
+
+    bounds: dict[int, int] = {}
 
     def lower_bound(remaining: int) -> int:
-        lb = 0
-        r = remaining
-        while r:
-            i = (r & -r).bit_length() - 1
-            lb += 1
-            r &= ~conflict[i]
+        lb = bounds.get(remaining)
+        if lb is None:
+            lb = 0
+            r = remaining
+            while r:
+                i = (r & -r).bit_length() - 1
+                lb += 1
+                r &= ~conflict[i]
+            bounds[remaining] = lb
         return lb
 
     failed_at: dict[int, int] = {}
@@ -148,7 +162,7 @@ def _minimum_base(L: LocalContactAlgebra, pool_masks) -> tuple[int, ...]:
         while r:
             i = (r & -r).bit_length() - 1
             r &= r - 1
-            count = cand[i].bit_count()
+            count = counts[i]
             if count < best_count:
                 best, best_count = i, count
         options = cand[best]

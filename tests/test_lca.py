@@ -26,8 +26,9 @@ from contactalg import (
     product_lca,
     relative_lca,
 )
+from contactalg.lca import _minimal_intervals
 
-from naive import naive_check_dhlc_morphism, naive_lower_sharp
+from naive import naive_check_dhlc_morphism, naive_lower_sharp, naive_minimal_intervals
 
 
 def overlap_lca(k: int) -> LocalContactAlgebra:
@@ -301,3 +302,32 @@ def test_dhlc_laws_and_lower_sharp_match_naive_sweeps():
             assert lower_sharp(t).mapping == naive_lower_sharp(t), (source, target, f)
             seen.add(report.axiom)
     assert seen == {"DLC1", "DLC2", "DLC3", "DLC4", "DLC5", "DLC1-DLC5"}
+
+
+def _intervals_match_naive(structures, tops) -> int:
+    compared = 0
+    for s in structures:
+        ca = ContactAlgebra(s.algebra, s)
+        for u in tops:
+            L = LocalContactAlgebra(ca, Element(s.algebra, u))
+            assert _minimal_intervals(L) == naive_minimal_intervals(L), (s.rows, u)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("k, cases", [(0, 1), (1, 4), (2, 64), (3, 4096)])
+def test_minimal_intervals_match_naive_on_every_relation(k, cases):
+    alg = powerset_algebra(k)
+    structures = all_contact_structures(alg, reflexive_symmetric=False)
+    assert _intervals_match_naive(structures, range(alg.size)) == cases
+
+
+def test_minimal_intervals_match_naive_on_four_atoms():
+    """Every 4-atom graph, and a seeded sample of arbitrary 4-atom
+    relations, under every top."""
+    alg = powerset_algebra(4)
+    assert _intervals_match_naive(all_contact_structures(alg), range(16)) == 64 * 16
+    rng = random.Random(7)
+    sample = [ContactStructure(alg, [rng.randrange(16) for _ in range(4)]) for _ in range(60)]
+    assert any(s.rows[p] >> p & 1 == 0 for s in sample for p in range(4))
+    assert _intervals_match_naive(sample, range(16)) == 60 * 16

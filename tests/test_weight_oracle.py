@@ -5,9 +5,10 @@ Whole results are compared (size and every member of the witness), for
 algebra_weight and for minimal_base_within given the weight's own base,
 whose join closure is a restricted pool: every contact relation on at
 most three atoms and every graph on four, under every bounded top, and
-every labelled graph on five atoms under three tops. The search itself
-is also run on arbitrary pools, where both must raise the same
-ValidationError or return the same base.
+every labelled graph on five atoms under three tops, and seeded graphs
+and rings on six to eight atoms, the sizes the benchmark runs. The
+search itself is also run on arbitrary pools, where both must raise the
+same ValidationError or return the same base.
 """
 
 import itertools
@@ -22,11 +23,13 @@ from contactalg import (
     ValidationError,
     algebra_weight,
     all_contact_structures,
+    cycle_algebra,
     minimal_base_within,
     powerset_algebra,
 )
 from contactalg.weight import _minimum_base
 
+from conftest import sampled_contact_algebras
 from naive import naive_minimum_base
 
 
@@ -68,6 +71,18 @@ def test_weight_matches_pair_search_on_five_atom_graphs():
     alg = powerset_algebra(5)
     tops = (0b11111, 0b10110, 0b00111)
     assert _compare_under_tops(all_contact_structures(alg), tops) == 1024 * 3
+
+
+def test_weight_matches_pair_search_on_six_to_eight_atoms():
+    """20 seeded graphs each on 6 and 7 atoms and the rings on 6 to 8,
+    under the top 1 and under 1 minus the first atom."""
+    cas = [ca for k in (6, 7) for ca in sampled_contact_algebras(k, 20, seed=3)]
+    cas += [cycle_algebra(k) for k in (6, 7, 8)]
+    compared = 0
+    for ca in cas:
+        full = ca.algebra.full_mask
+        compared += _compare_under_tops([ca.contact], (full, full & ~1))
+    assert compared == 43 * 2
 
 
 def _outcome(search, L, pool):
