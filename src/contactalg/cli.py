@@ -490,10 +490,8 @@ def _cmd_crosscheck(args, report: Report):
     guarded("connectedness_agreement", connect)
 
     def valid_iff_discrete():
-        rc = rc_algebra(space)
-        return rc.lca.is_valid() == space.is_discrete, (
-            f"valid={rc.lca.is_valid()} discrete={space.is_discrete}"
-        )
+        valid = rc_algebra(space).lca.is_valid()
+        return valid == space.is_discrete, f"valid={valid} discrete={space.is_discrete}"
 
     guarded("rc_valid_iff_discrete", valid_iff_discrete)
 

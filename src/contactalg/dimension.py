@@ -50,7 +50,7 @@ from typing import Sequence
 from .boolean import Element, _blocks, _or_all, _partitions
 from .contact import ContactAlgebra, check_axiom
 from .errors import InternalInconsistencyError, MismatchError, ValidationError
-from .lca import LocalContactAlgebra, _interpolated, _minimal_intervals, nca_as_lca, relative_lca
+from .lca import LocalContactAlgebra, _minimal_intervals, nca_as_lca, relative_lca
 
 
 @dataclass(frozen=True)
@@ -564,7 +564,11 @@ def is_way_below_dense(ca: ContactAlgebra, members: Sequence[Element]) -> bool:
         if x.algebra is not ca.algebra:
             raise MismatchError("D contains an element of a different algebra")
         d_masks.append(x.mask)
-    return _interpolated(ca.contact.closure_table(), _minimal_intervals(nca_as_lca(ca)), d_masks)
+    reach = ca.contact.closure_table()
+    return all(
+        any(reach[a] & ~d == 0 and reach[d] & ~c == 0 for d in d_masks)
+        for a, c in _minimal_intervals(nca_as_lca(ca))
+    )
 
 
 def check_dimension_invariance(ca: ContactAlgebra, members: Sequence[Element], n_cap: int = 3) -> bool:

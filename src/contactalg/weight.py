@@ -277,28 +277,13 @@ def rho_from_subalgebra(parent, members: Subalgebra) -> SubalgebraContactResult:
 def minimal_base_within(L: LocalContactAlgebra, members) -> WeightResult:
     """A minimum-size base drawn from the join-closure of a given base.
 
-    Rejects a non-base. The witness is a base, lies inside the join
-    closure (with the empty join 0 included), and for valid structures
-    its size is asserted to be the weight; when the given base is already
-    join-closed the witness stays inside it.
+    Rejects a non-base. The witness is not re-checked: _minimum_base meets
+    every minimal interval by construction and draws only from the pool,
+    the join closure (with the empty join 0 included). On the one valid
+    finite structure, discrete with u = 1, every element is forced, so
+    its size is the weight; tests/test_weight_oracle.py pins all three.
     """
     if not is_dv_dense(L, members):
         raise ValidationError("the given set is not a base")
-    closure = set(_unions(x.mask for x in members))
-    member_masks = {x.mask for x in members}
-    join_closed = closure <= member_masks | {0}
-
-    masks = _minimum_base(L, sorted(closure))
-    result = WeightResult(len(masks), tuple(Element(L.algebra, m) for m in masks))
-
-    if not is_dv_dense(L, result.base):
-        raise InternalInconsistencyError("search returned a non-base")
-    if L.is_valid() and result.size != algebra_weight(L).size:
-        raise InternalInconsistencyError(
-            "join-closure base misses the true weight on a valid structure"
-        )
-    if join_closed and not all(m in member_masks or m == 0 for m in masks):
-        raise InternalInconsistencyError(
-            "witness left a join-closed base"
-        )
-    return result
+    masks = _minimum_base(L, sorted(_unions(x.mask for x in members)))
+    return WeightResult(len(masks), tuple(Element(L.algebra, m) for m in masks))

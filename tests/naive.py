@@ -375,13 +375,29 @@ def naive_is_dense_subset(algebra, members) -> bool:
 
 
 def naive_is_base(L, members) -> bool:
-    """Density of a member set in the bounded part, by the interpolation
-    reading: every bounded a << c admits a member d with a <= d <= c."""
+    """Density of a member set in the bounded part, by the order reading:
+    every bounded a << c admits a member d with a <= d <= c."""
     bounded = L.bounded_elements()
     for a in bounded:
         for c in bounded:
             if naive_way_below(L.ca, a, c):
                 if not any(a <= d <= c for d in members):
+                    return False
+    return True
+
+
+def naive_is_base_interpolated(L, members) -> bool:
+    """Density of a member set in the bounded part, by the interpolation
+    reading: every bounded a << c admits a member d with a << d << c.
+    On valid structures it agrees with the order reading."""
+    bounded = L.bounded_elements()
+    for a in bounded:
+        for c in bounded:
+            if naive_way_below(L.ca, a, c):
+                if not any(
+                    naive_way_below(L.ca, a, d) and naive_way_below(L.ca, d, c)
+                    for d in members
+                ):
                     return False
     return True
 

@@ -67,6 +67,13 @@ def test_rho_from_subalgebra_refuses_before_any_table(monkeypatch):
         rho_from_subalgebra(parent, sub)
 
 
+@pytest.mark.parametrize("entry", ["is_dv_dense", "minimal_base_within"])
+def test_base_checks_refuse_before_any_table(monkeypatch, entry):
+    monkeypatch.setattr(ContactStructure, "closure_table", _no_table)
+    with pytest.raises(ValidationError, match="24 atoms"):
+        GATED[entry](cycle_algebra(24))
+
+
 RING_ENDS = 1 | 1 << 1 | 1 << 23
 RING_TRANSVERSAL = sum(1 << i for i in range(0, 24, 3))
 

@@ -28,7 +28,13 @@ from contactalg import (
 )
 from contactalg.lca import _minimal_intervals
 
-from naive import naive_check_dhlc_morphism, naive_lower_sharp, naive_minimal_intervals
+from naive import (
+    naive_check_dhlc_morphism,
+    naive_is_base,
+    naive_is_base_interpolated,
+    naive_lower_sharp,
+    naive_minimal_intervals,
+)
 
 
 def overlap_lca(k: int) -> LocalContactAlgebra:
@@ -90,7 +96,7 @@ def only_valid_lcas_are_overlap_with_full_ideal(k: int):
     assert hits == [(overlap_rows, alg.full_mask)]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_validity_collapse(k):
     only_valid_lcas_are_overlap_with_full_ideal(k)
 
@@ -107,6 +113,45 @@ def test_dv_density_rejects_unbounded(overlap3_lca):
     L = LocalContactAlgebra(overlap3_lca.ca, overlap3_lca.algebra.element(0b011))
     with pytest.raises(ValidationError):
         is_dv_dense(L, [overlap3_lca.algebra.one])
+    with pytest.raises(MismatchError, match="base member from a different algebra"):
+        is_dv_dense(L, [powerset_algebra(3).zero])
+
+
+def _base_verdicts_agree(L: LocalContactAlgebra, pools) -> bool:
+    valid = L.is_valid()
+    bounded = L.bounded_elements()
+    for picks in pools:
+        pool = [x for x, pick in zip(bounded, picks) if pick]
+        got = is_dv_dense(L, pool)
+        assert got == naive_is_base(L, pool), (L.ca.contact.rows, L.bounded_top, pool)
+        if valid:
+            assert got == naive_is_base_interpolated(L, pool)
+    return valid
+
+
+def test_dv_density_matches_both_readings_on_every_pool():
+    """Every relation on at most two atoms and every contact relation on
+    three, under every top, with every pool of bounded elements: the
+    order reading always, and the interpolation reading as well where
+    the structure is valid. Then pools on the discrete four-atom
+    algebra: the whole bounded part, each one-member deletion of it, and
+    100 seeded pools."""
+    valid = 0
+    for k in range(4):
+        alg = powerset_algebra(k)
+        for s in all_contact_structures(alg, reflexive_symmetric=k == 3):
+            ca = ContactAlgebra(alg, s)
+            for u in range(alg.size):
+                L = LocalContactAlgebra(ca, alg.element(u))
+                n = len(L.bounded_masks())
+                valid += _base_verdicts_agree(L, itertools.product((0, 1), repeat=n))
+    assert valid == 4
+
+    L = overlap_lca(4)
+    rng = random.Random(7)
+    pools = [[1] * 16] + [[int(i != j) for i in range(16)] for j in range(16)]
+    pools += [[rng.randrange(2) for _ in range(16)] for _ in range(100)]
+    assert _base_verdicts_agree(L, pools)
 
 
 def test_identity_table(overlap3_lca):

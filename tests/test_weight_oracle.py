@@ -7,8 +7,10 @@ whose join closure is a restricted pool: every contact relation on at
 most three atoms and every graph on four, under every bounded top, and
 every labelled graph on five atoms under three tops, and seeded graphs
 and rings on six to eight atoms, the sizes the benchmark runs. The
-search itself is also run on arbitrary pools, where both must raise the
-same ValidationError or return the same base.
+witness of minimal_base_within must also lie in that join closure and,
+on valid structures, have the weight's size. The search itself is also
+run on arbitrary pools, where both must raise the same ValidationError
+or return the same base.
 """
 
 import itertools
@@ -47,8 +49,11 @@ def _compare(L: LocalContactAlgebra) -> None:
     assert tuple(x.mask for x in got.base) == expected
 
     within = minimal_base_within(L, got.base)
-    restricted = naive_minimum_base(L, _join_closure(expected))
-    assert tuple(x.mask for x in within.base) == restricted
+    closure = _join_closure(expected)
+    assert tuple(x.mask for x in within.base) == naive_minimum_base(L, closure)
+    assert {x.mask for x in within.base} <= set(closure)
+    if L.is_valid():
+        assert within.size == got.size
 
 
 def _compare_under_tops(structures, tops) -> int:
