@@ -16,14 +16,16 @@ the query holds no element of D. A witness for an a-tuple is an
 assignment of atoms to slots (_atom_witness). A level holds iff every
 partition c of the atoms into at most n+2 blocks has a witness for the
 tuple (reach(c_i)), and otherwise the least failing partition is the
-first counterexample (proof in _decide). The partitions come in that
-ascending order (_partitions), each block's reach is read off the atom
-rows once per query, a false level stops at its first failing
-partition, and a level above a true one sweeps only the partitions
-into n+2 blocks (_least_failing_partition). On a reflexive symmetric
-relation, a graph on the atoms, a level is decided in closed form
-(_shared_vertex), and only a false level sweeps, to report its
-counterexample.
+first counterexample (proof in _decide). Most levels, and every level
+of a graph, are decided in closed form on any relation, from the
+components of the graph on atoms whose rows meet (_closed_form). dim_a
+reads only verdicts, so such a level walks no partition; dim_leq
+sweeps a false one to report its counterexample. A level the closed
+form leaves open is swept: the partitions come in ascending order
+(_partitions), each block's reach is read off the atom rows once per
+query, a false level stops at its first failing partition, and a level
+above a true one sweeps only the partitions into n+2 blocks
+(_least_failing_partition).
 
 A pool given with dim --subset takes the ordered sweep over multisets of
 (b, a) pairs whose a is minimal in D above reach(b)
@@ -48,7 +50,7 @@ from functools import partial
 from typing import Sequence
 
 from .boolean import Element, _blocks, _or_all, _partitions
-from .contact import ContactAlgebra, check_axiom
+from .contact import ContactAlgebra
 from .errors import InternalInconsistencyError, MismatchError, ValidationError
 from .lca import LocalContactAlgebra, _minimal_intervals, nca_as_lca, relative_lca
 
@@ -71,9 +73,10 @@ class DimensionQuery:
     masks: tuple[int, ...] | None = field(init=False, repr=False)
     # DimVerdicts by ("verdict", n). A pool adds its witness verdicts keyed
     # by sorted a-tuple and the candidate tables of _search_witness by
-    # "candidates"; the whole algebra adds the graph components or None
-    # ("components"), the _atom_witness test ("witness") and each block's
-    # reach ("reaches"), shared by every level
+    # "candidates"; the whole algebra adds the closed-form verdicts by
+    # ("closed", n), and, shared by every level, the columns, two-step
+    # reaches and row-overlap components ("overlap"), the _atom_witness
+    # test ("witness") and each block's reach ("reaches")
     _inner_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -169,20 +172,19 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     those in ascending order, so the first one with no witness is the
     least failing partition (_least_failing_partition).
 
-    On a reflexive symmetric relation the verdict is _shared_vertex's
-    closed form: a true level walks no partition, and a false one sweeps
-    only to report its least failing partition, which must then exist.
+    Where _closed_form decides the level, a true level walks no
+    partition, and a false one sweeps only to report its least failing
+    partition, which must then exist.
     """
     alg = q.ca.algebra
     if n == -1:
         return DimVerdict(alg.size == 1, n)
     if q.masks is None or len(q.masks) == alg.size:
-        components = _components(q)
-        rows = q.ca.contact.rows
-        if components is not None and all(_shared_vertex(rows, K, n + 2) for K in components):
+        closed = _closed_form(q, n)
+        if closed:
             return DimVerdict(True, n)
         bad = _least_failing_partition(q, n)
-        if bad is None and components is not None:
+        if bad is None and closed is False:
             raise InternalInconsistencyError(
                 f"dim_leq({n}) fails in closed form but every partition has a witness"
             )
@@ -205,68 +207,159 @@ def _decide(q: DimensionQuery, n: int) -> DimVerdict:
     return DimVerdict(False, n, a_tuple, b_tuple)
 
 
-def _components(q: DimensionQuery) -> tuple[int, ...] | None:
-    """The components of a reflexive symmetric relation (C3 and C4), a
-    graph on the atoms whose rows are the closed neighbourhoods N[v], as
-    atom masks; None for any other relation. Found once per query."""
-    memo = q._inner_memo
-    if "components" not in memo:
-        ca = q.ca
-        found = None
-        if check_axiom(ca, "C3").ok and check_axiom(ca, "C4").ok:
-            found = []
-            left = ca.algebra.full_mask
-            while left:
-                K = ca.contact.reach_closure(left & -left)
-                found.append(K)
-                left ^= K
-            found = tuple(found)
-        memo["components"] = found
-    return memo["components"]
+def _overlap(q: DimensionQuery) -> tuple[list[int], list[int], tuple[tuple[int, int], ...]]:
+    """The columns col(x) = {q : x in row(q)}, each atom's two-step reach
+    N_p = reach(row p), and the components T of the row-overlap graph
+    (p ~ q iff row(p) and row(q) meet; atoms with empty rows left out),
+    each as (T, N_T) with N_T the union of the N_p over T. Built once per
+    query, the columns and the N_p in one pass over the row bits;
+    _atom_witness reads the N_p from here.
 
-
-def _shared_vertex(rows: Sequence[int], K: int, k: int) -> bool:
-    """Do every k >= 2 closed neighbourhoods of vertices of the component
-    K share a vertex? On a graph, with D the whole algebra, level n holds
-    iff this is true for k = n+2 in every component. Atom p may take slot
-    i iff reach(row p) = N²[p] <= N[c_i] (_atom_witness).
-
-      * If it is true, any two vertices of K share a neighbour, so
-        N²[p] = K for p in K. In any partition c_1..c_k some N[c_i]
-        holds K: otherwise pick x_i in K - N[c_i] for each i, so c_i
-        misses N[x_i], and the vertex all the N[x_i] share lies in no
-        block. Send K to that slot. Each R_i is then a union of
-        components, and either a slot is left empty or two slots hold
-        disjoint ones, so the R's meet to 0.
-      * If it is false, take v_1..v_m in K, m <= k, whose N[v_i] share
-        no vertex; if K has two vertices at distance 3, take those two.
-        Put each x of K in the block of the least i with x outside
-        N[v_i], and every other atom in block 1. Then no c_i meets
-        N[v_i], so v_i lies outside N[c_i]. An atom p of K whose N²[p]
-        holds every v_i has no slot: every p when the diameter is at
-        most 2, and the middle vertex of a 3-path otherwise. So that
-        partition fails.
-
-    The search runs over the running intersection I, starting from K.
-    The least vertex x of I must leave it, so the next neighbourhood is
-    N[v] for some v of K outside N[x]; a depth of k bounds it. A vertex
-    adjacent to all of K lies in every N[v], so such a K never fails.
+    The atoms of one column share a row atom, so each column lies in one
+    component: the components are the columns merged while they meet.
     """
-    if any(rows[v] == K for v in range(K.bit_length()) if K >> v & 1):
-        return True
+    memo = q._inner_memo
+    found = memo.get("overlap")
+    if found is None:
+        rows = q.ca.contact.rows
+        cols = [0] * len(rows)
+        row_reach = []
+        for p, row in enumerate(rows):
+            N_p = 0
+            while row:
+                low = row & -row
+                x = low.bit_length() - 1
+                cols[x] |= 1 << p
+                N_p |= rows[x]
+                row ^= low
+            row_reach.append(N_p)
+        merged: list[int] = []
+        for T in cols:
+            if T:
+                apart = []
+                for other in merged:
+                    if other & T:
+                        T |= other
+                    else:
+                        apart.append(other)
+                apart.append(T)
+                merged = apart
+        components = []
+        for T in merged:
+            N_T = 0
+            for p in range(T.bit_length()):
+                if T >> p & 1:
+                    N_T |= row_reach[p]
+            components.append((T, N_T))
+        found = memo["overlap"] = (cols, row_reach, tuple(components))
+    return found
+
+
+def _closed_form(q: DimensionQuery, n: int) -> bool | None:
+    """The verdict of level n with D the whole algebra, read off the
+    row-overlap components (_overlap); None when it is left to the sweep,
+    and for n = -1. Memoized per n on the query.
+
+    Call S k-covered when every k atoms of S, repeats allowed, lie in a
+    common row, that is, every k columns of S share an atom
+    (_covered). Atom p may take slot i iff N_p <= R(c_i), writing R for
+    reach (_atom_witness), and a partition c_1..c_k fails iff no map of
+    the atoms to admissible slots has R_i, the union of the rows sent to
+    slot i, meeting to 0. With k = n+2:
+
+      * Decomposition: rows of atoms in different components are
+        disjoint. So the meet of the R_i is the union over T of the
+        per-T meets, and a witness exists iff each T has its own
+        admissible assignment with an empty meet. Atoms with empty rows
+        fit any slot.
+      * (i) The level holds if every N_T is k-covered. If no R(c_i) held
+        N_T, choose x_i in N_T - R(c_i), so c_i misses col(x_i). The atom
+        shared by the col(x_i) then lies in no block, which is
+        impossible. So T goes whole into a slot whose R(c_i) holds N_T,
+        and its rows leave every other slot, so T's meet is 0.
+      * (ii) It fails if some N_p is not k-covered. Take x_1..x_m in
+        N_p, m <= k, whose columns share no atom. Put each atom q in the
+        block of the least i with q outside col(x_i). Then x_i lies
+        outside R(c_i), the slots past m are empty, and p has no
+        admissible slot.
+      * (iii) At k = 2 it holds exactly when every N_T is 2-covered.
+        With two slots a connected T cannot be split, as its split rows
+        would meet. The partition (col(y), rest) then fails for x, y in
+        N_T whose columns are disjoint: y lies outside R(rest) and x
+        outside R(col(y)).
+      * Otherwise the sweep decides.
+
+    A k-covered set is (k-1)-covered and every subset of it is k-covered,
+    so (i) and (ii) never both apply, only the N_p of a component that
+    fails (i) can fail (ii), and a failure at level n - 1 >= 1, which
+    came from (ii), carries to level n.
+
+    On a graph, rows are closed neighbourhoods N[v]: the components are
+    the graph components and N_T = K. (i) says every k closed
+    neighbourhoods of K share a vertex. If that is false and K has
+    diameter at most 2, then N_p = N²[p] = K for every p of K; otherwise
+    two vertices at distance 3 have disjoint neighbourhoods and both lie
+    in N_p for the middle vertex p next to one of them. Either way (ii)
+    applies, so every level of a graph is decided.
+    """
+    if n < 0:
+        return None
+    memo = q._inner_memo
+    key = ("closed", n)
+    if key in memo:
+        return memo[key]
+    if n > 1 and memo.get(("closed", n - 1)) is False:
+        memo[key] = False
+        return False
+    cols, row_reach, components = _overlap(q)
+    rows = q.ca.contact.rows
+    k = n + 2
+    verdict = True
+    for T, N_T in components:
+        if _covered(rows, cols, N_T, k):
+            continue
+        if k == 2 or any(
+            row_reach[p] == N_T or not _covered(rows, cols, row_reach[p], k)
+            for p in range(T.bit_length())
+            if T >> p & 1
+        ):
+            verdict = False
+            break
+        verdict = None
+    memo[key] = verdict
+    return verdict
+
+
+def _covered(rows: Sequence[int], cols: Sequence[int], S: int, k: int) -> bool:
+    """Do every k >= 1 columns of atoms of S share an atom?
+
+    A row that holds S answers yes at once. Otherwise the search looks for
+    at most k columns with an empty intersection, running over that
+    intersection I, which starts as the union of the columns of S, the
+    atoms whose rows meet S. The least atom q of I must leave it, so the
+    next column is col(x) for some x of S outside row(q); a depth of k
+    bounds it.
+    """
 
     def cut(I: int, depth: int) -> bool:
-        x = (I & -I).bit_length() - 1
-        outside = K & ~rows[x]
+        q = (I & -I).bit_length() - 1
+        outside = S & ~rows[q]
         while outside:
             low = outside & -outside
-            J = I & rows[low.bit_length() - 1]
+            J = I & cols[low.bit_length() - 1]
             if not J or depth > 1 and cut(J, depth - 1):
                 return True
             outside ^= low
         return False
 
-    return not cut(K, k)
+    union = 0
+    for q, r in enumerate(rows):
+        if r & S:
+            if S & ~r == 0:
+                return True
+            union |= 1 << q
+    # every atom of an N_p or N_T lies in a row, so only an empty S meets none
+    return not union or not cut(union, k)
 
 
 def _least_failing_partition(q: DimensionQuery, n: int) -> tuple[tuple[int, int], ...] | None:
@@ -288,7 +381,7 @@ def _least_failing_partition(q: DimensionQuery, n: int) -> tuple[tuple[int, int]
         tuples = _blocks((), full, k, full)
     else:
         tuples = _partitions(ca.algebra.atom_count, k)
-    witness = memo.get("witness") or memo.setdefault("witness", _atom_witness(ca))
+    witness = memo.get("witness") or memo.setdefault("witness", _atom_witness(q))
     reaches = memo.setdefault("reaches", {})
     reach_mask = ca.contact.reach_mask
     for blocks in tuples:
@@ -303,7 +396,7 @@ def _least_failing_partition(q: DimensionQuery, n: int) -> tuple[tuple[int, int]
     return None
 
 
-def _atom_witness(ca: ContactAlgebra):
+def _atom_witness(q: DimensionQuery):
     """The witness test for D the whole algebra, on atoms.
 
     Witnesses c_i << d_i << a_i with join(c) = 1 and meet(d) = 0 exist iff
@@ -319,21 +412,21 @@ def _atom_witness(ca: ContactAlgebra):
     c_i << d_i, d_i << a_i because every row in R_i lies in I(a_i), the
     c's join to 1 and the d's meet to 0.
 
-    Atom p may take slot i iff reach(row p) <= a_i, so each a keeps the
-    mask allowed(a) of the atoms it admits, built once. The search gives
-    up at once if the allowed masks do not join to 1 (an atom has no
-    slot), and succeeds at once if some slot holds no atom that is
-    allowed there alone: that slot can be left empty. Otherwise every
-    slot holds an atom from the start, the meet only grows as rows are
-    added, and a depth-first search over the remaining atoms stops a
-    branch as soon as the meet is nonzero. An atom whose row already
-    lies in an allowed R_i goes there without branching: that leaves
-    every R as small as possible.
+    Atom p may take slot i iff N_p = reach(row p) <= a_i, with N_p read
+    off _overlap, so each a keeps the mask allowed(a) of the atoms it
+    admits, built once. The search gives up at once if the allowed masks
+    do not join to 1 (an atom has no slot), and succeeds at once if some
+    slot holds no atom that is allowed there alone: that slot can be
+    left empty. Otherwise every slot holds an atom from the start, the
+    meet only grows as rows are added, and a depth-first search over the
+    remaining atoms stops a branch as soon as the meet is nonzero. An
+    atom whose row already lies in an allowed R_i goes there without
+    branching: that leaves every R as small as possible.
     """
-    rows = ca.contact.rows
-    full = ca.algebra.full_mask
+    rows = q.ca.contact.rows
+    full = q.ca.algebra.full_mask
     # row(p) <= I(a) iff reach(row(p)) <= a
-    row_reach = [ca.contact.reach_mask(r) for r in rows]
+    row_reach = _overlap(q)[1]
     atoms = range(len(rows))
     admits: dict[int, int] = {}
 
@@ -526,14 +619,16 @@ def dim_a(q: DimensionQuery, scan_to_cap: bool = False) -> DimensionResult:
 
     By default the scan stops at the first success. With scan_to_cap the
     whole range is evaluated and any non-monotone verdict pair is
-    reported as an anomaly. A true level of a graph costs no sweep;
-    elsewhere each true level sweeps the partitions into n+2 blocks,
-    whose number grows exponentially with n.
+    reported as an anomaly. Only verdicts are read, so a level that
+    _closed_form decides walks no partition; a level it leaves open
+    sweeps the partitions into n+2 blocks, whose number grows
+    exponentially with n.
     """
     verdicts: list[tuple[int, bool]] = []
     value: int | None = None
+    whole = q.masks is None or len(q.masks) == q.ca.algebra.size
     for n in range(-1, q.n_cap + 1):
-        v = bool(dim_leq(q, n))
+        v = not (whole and _closed_form(q, n) is False) and bool(dim_leq(q, n))
         verdicts.append((n, v))
         if v and value is None:
             value = n

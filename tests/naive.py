@@ -98,6 +98,49 @@ def naive_graph_dim_leq(ca: ContactAlgebra, n: int) -> bool:
     return True
 
 
+def naive_component_verdict(ca: ContactAlgebra, n: int):
+    """Dimension at most n (n >= 0) with D the whole algebra, on any
+    relation, as far as the row-overlap components decide it: True,
+    False, or None when they leave it open. A set S is k-covered when
+    every k-multiset of S lies in one row. Components are grown atom by
+    atom over the relation "the rows meet", atoms with empty rows left
+    out, and N_p is the reach of row(p). With k = n+2: True if every
+    component's union of N_p is k-covered; else False at k = 2 or when
+    some N_p is not k-covered; else None."""
+    rows = ca.contact.rows
+    atoms = range(len(rows))
+    k = n + 2
+
+    def reach(S):
+        return {y for x in S for y in atoms if rows[x] >> y & 1}
+
+    def covered(S):
+        return all(
+            any(all(rows[q] >> x & 1 for x in xs) for q in atoms)
+            for xs in combinations_with_replacement(sorted(S), k)
+        )
+
+    N = {p: reach(reach({p})) for p in atoms}
+    components = []
+    for p in atoms:
+        if not rows[p] or any(p in T for T in components):
+            continue
+        T = {p}
+        grown = True
+        while grown:
+            grown = False
+            for u, v in product(list(T), atoms):
+                if rows[u] & rows[v] and v not in T:
+                    T.add(v)
+                    grown = True
+        components.append(T)
+    if all(covered(set().union(*(N[p] for p in T))) for T in components):
+        return True
+    if k == 2 or not all(covered(N[p]) for p in atoms):
+        return False
+    return None
+
+
 def naive_partitions(atom_count: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Every partition of the atoms into at most k blocks, as its sorted
     block masks padded with leading 0s to length k, in ascending order:

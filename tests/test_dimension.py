@@ -1,6 +1,7 @@
 import random
 import time
 import warnings
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -30,6 +31,7 @@ from contactalg import cli, dimension
 
 from conftest import sample_not_reflexive_symmetric, sampled_contact_algebras
 from naive import (
+    naive_component_verdict,
     naive_dim_leq,
     naive_first_counterexample,
     naive_graph_dim_leq,
@@ -535,7 +537,7 @@ def test_atom_witness_matches_pool_engine():
         alg = ca.algebra
         q = every_element(ca)
         reach = ca.contact.closure_table()
-        on_atoms = dimension._atom_witness(ca)
+        on_atoms = dimension._atom_witness(query(ca))
         for slots in (2, 3):
             for a in combinations_with_replacement(range(alg.size), slots):
                 expected = dimension._search_witness(q, reach, alg.full_mask, a)
@@ -550,11 +552,11 @@ def test_atom_witness_when_every_branch_fails():
     ca = ContactAlgebra(alg, ContactStructure(alg, [0b0101, 0b1001, 0b0100, 0b0110]))
     a = (0b0111, 0b1101)
     assert not dimension._search_witness(every_element(ca), ca.contact.closure_table(), alg.full_mask, a)
-    assert not dimension._atom_witness(ca)(a)
+    assert not dimension._atom_witness(query(ca))(a)
 
 
 def test_pools_keep_the_element_search(c6, monkeypatch):
-    def refuse(ca):
+    def refuse(q):
         raise AssertionError("atom-level witness used for a pool")
 
     monkeypatch.setattr(dimension, "_atom_witness", refuse)
@@ -650,9 +652,7 @@ def test_graph_closed_form_matches_the_definition():
 
 
 def closed_form(ca, n):
-    q = query(ca, None, 3)
-    rows = ca.contact.rows
-    return all(dimension._shared_vertex(rows, K, n + 2) for K in dimension._components(q))
+    return dimension._closed_form(query(ca, None, 3), n)
 
 
 def test_closed_form_matches_the_partition_sweep_on_seeded_graphs():
@@ -671,6 +671,115 @@ def test_closed_form_matches_the_partition_sweep_on_seeded_graphs():
             for n in range(4):
                 assert closed_form(ca, n) == naive_graph_dim_leq(ca, n), (ca.contact.rows, n)
     assert (verdicts.count(True), len(verdicts)) == (68, 240)
+
+
+def test_closed_form_matches_the_sweep_on_every_small_relation():
+    # every relation on at most 3 atoms at n = 0..2 and every relation on
+    # 4 atoms at n = 0, 1: a level the closed form decides has the verdict
+    # of the sweep on a fresh query, and the oracle gives the same answer
+    # on at most 3 atoms
+    undecided = Counter()
+    for ca in every_algebra(range(5), reflexive_symmetric=False):
+        k = ca.algebra.atom_count
+        for n in (0, 1, 2) if k < 4 else (0, 1):
+            verdict = closed_form(ca, n)
+            if k < 4:
+                assert verdict == naive_component_verdict(ca, n), (ca.contact.rows, n)
+            if verdict is None:
+                undecided[k, n] += 1
+            else:
+                swept = dimension._least_failing_partition(query(ca, None, 3), n) is None
+                assert verdict == swept, (ca.contact.rows, n)
+    # none at n = 0; 12 of 512 on 3 atoms at n = 1, 2; 1,248 of 65,536 on 4
+    assert undecided == {(3, 1): 12, (3, 2): 12, (4, 1): 1_248}
+
+
+def test_component_oracle_matches_the_engine_on_seeded_relations():
+    rng = random.Random(37)
+    seen = Counter()
+    for i in range(400):
+        k = 5 + i % 8
+        alg = powerset_algebra(k)
+        density = (0.15, 0.25, 0.4)[i % 3]
+        rows = [sum(1 << x for x in range(k) if rng.random() < density) for _ in range(k)]
+        ca = ContactAlgebra(alg, ContactStructure(alg, rows))
+        for n in range(4):
+            verdict = closed_form(ca, n)
+            assert verdict == naive_component_verdict(ca, n), (rows, n)
+            seen[verdict] += 1
+    assert set(seen) == {True, False, None}
+
+
+def test_a_component_is_judged_whole():
+    # rows {0,2}, {0,3} and {1,3} of atoms 1, 2 and 4 chain into one
+    # component through atoms 0 and 3, with N_T = {0,2,3}. Atoms 2 and 3
+    # share no row, so level 0 fails, though the atoms of each single
+    # column reach only sets that one row holds.
+    alg = powerset_algebra(5)
+    ca = ContactAlgebra(alg, ContactStructure(alg, (0, 0b101, 0b1001, 0, 0b1010)))
+    assert dimension._overlap(query(ca))[2] == ((0b10110, 0b1101),)
+    assert closed_form(ca, 0) is False
+    assert naive_component_verdict(ca, 0) is False
+    assert dimension._least_failing_partition(query(ca, None, 3), 0) == ((0b10, 0b101), (0b11101, 0b1011))
+
+
+def one_way_wheel(k):
+    """The k-atom wheel with the contact from atom 0 to atom 1 dropped,
+    so the relation is not symmetric."""
+    rim = k - 1
+    rows = [1 << p | 1 << (p + 1) % rim | 1 << (p - 1) % rim | 1 << rim for p in range(rim)]
+    rows.append((1 << k) - 1)
+    rows[0] &= ~0b10
+    alg = powerset_algebra(k)
+    return ContactAlgebra(alg, ContactStructure(alg, rows))
+
+
+def test_dim_a_sweeps_no_decided_level(monkeypatch):
+    def refuse(q, n):
+        raise AssertionError(f"level {n} swept")
+
+    decided = []
+    for ca in every_algebra(range(4), reflexive_symmetric=False):
+        q = query(ca, None, 3)
+        if None not in (dimension._closed_form(q, n) for n in range(4)):
+            decided.append(ca)
+    assert len(decided) == 531 - 12
+    expected = [dim_a(query(ca, None, 3), scan_to_cap=True) for ca in decided]
+    monkeypatch.setattr(dimension, "_least_failing_partition", refuse)
+    assert [dim_a(query(ca, None, 3), scan_to_cap=True) for ca in decided] == expected
+    # every level of the one-way 11-atom wheel holds in closed form
+    start = time.perf_counter()
+    result = dim_a(query(one_way_wheel(11), None, 3), scan_to_cap=True)
+    elapsed = time.perf_counter() - start
+    assert result.verdicts == ((-1, False), (0, True), (1, True), (2, True), (3, True))
+    assert elapsed < 0.1, f"{elapsed:.2f}s"
+
+
+# row(0) is empty and atoms 1 and 2 see atom 0 and themselves: level 0
+# fails in closed form and levels 1 to 3 are left to the sweep
+UNDECIDED_ROWS = (0, 3, 5)
+
+
+def test_closed_form_false_without_a_failing_partition_raises_off_graphs(monkeypatch):
+    alg = powerset_algebra(3)
+    ca = ContactAlgebra(alg, ContactStructure(alg, UNDECIDED_ROWS))
+    assert not ca.passes("C3", "C4")
+    monkeypatch.setattr(dimension, "_atom_witness", lambda q: lambda a_multiset: True)
+    q = query(ca, None, 3)
+    # dim_a reads the closed form and sweeps only the open levels
+    assert dim_a(q).value == 1
+    with pytest.raises(InternalInconsistencyError, match=r"dim_leq\(0\) fails in closed form"):
+        dim_leq(q, 0)
+
+
+def test_undecided_levels_take_the_sweeps_verdicts():
+    alg = powerset_algebra(3)
+    ca = ContactAlgebra(alg, ContactStructure(alg, UNDECIDED_ROWS))
+    assert [closed_form(ca, n) for n in range(4)] == [False, None, None, None]
+    swept = tuple((n, dimension._least_failing_partition(query(ca, None, 3), n) is None) for n in range(4))
+    result = dim_a(query(ca, None, 3), scan_to_cap=True)
+    assert result.verdicts == ((-1, False),) + swept
+    assert (result.value, result.anomalies) == (1, ())
 
 
 def resume_cases():
@@ -710,7 +819,8 @@ def test_closed_form_without_a_failing_partition_is_an_internal_error(tmp_path, 
     assert err == "internal error: dim_leq(0) fails in closed form but every partition has a witness\n"
     with pytest.raises(InternalInconsistencyError):
         dim_leq(query(ring(6)), 0)
-    # a relation that is not a graph keeps the sweep's verdict
+    # a level the closed form proves true, on a relation that is not a
+    # graph, never reaches the sweep
     alg = powerset_algebra(2)
     assert dim_leq(query(ContactAlgebra(alg, ContactStructure(alg, [1, 3]))), 0)
 
